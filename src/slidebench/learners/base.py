@@ -60,10 +60,26 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _validate_tree_params(p: dict) -> None:
+    """Engine settings shared by the four tree learners."""
+    _require(p.get("min_samples_leaf", 1) >= 1, "min_samples_leaf must be >= 1")
+    _require(p.get("min_samples_split", 2) >= 2, "min_samples_split must be >= 2")
+    if "max_bins" in p:
+        # Bin codes are stored as uint16.
+        bins = p["max_bins"]
+        _require(_is_int(bins) and 2 <= bins <= 65536, "max_bins must be an integer in 2..65536")
+
+
 def validate_spec(spec: ClassifierSpec) -> None:
     if spec.kind not in KINDS:
         raise ValueError(f"unknown classifier kind {spec.kind!r}")
     p = dict(spec.params)
+    if spec.kind in ("decision_tree", "random_forest", "gradient_boosting", "adaboost"):
+        _validate_tree_params(p)
     if spec.kind == "logistic_regression":
         _require(p.get("l2", 0.0) >= 0, "l2 penalty must be >= 0")
         _require(p.get("max_iter", 5000) >= 1, "max_iter must be >= 1")
@@ -77,6 +93,11 @@ def validate_spec(spec: ClassifierSpec) -> None:
         _require(p.get("n_estimators", 100) >= 1, "n_estimators must be >= 1")
         depth = p.get("max_depth")
         _require(depth is None or depth >= 1, "max_depth must be >= 1 or None")
+        feats = p.get("max_features", "sqrt")
+        _require(
+            feats is None or feats == "sqrt" or (_is_int(feats) and feats >= 1),
+            'max_features must be None, "sqrt" or an integer >= 1',
+        )
     elif spec.kind == "gradient_boosting":
         _require(p.get("n_estimators", 100) >= 1, "n_estimators must be >= 1")
         _require(p.get("learning_rate", 0.1) > 0, "learning_rate must be > 0")

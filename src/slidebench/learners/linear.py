@@ -85,7 +85,8 @@ class LogisticRegression(BaseClassifier):
                 t *= 0.5
             W = W - t * gW
             b = b - t * gb
-            loss = objective(Xs, Y, W, b, l2)
+            # An accepted step was evaluated at exactly this (W, b).
+            loss = cand if t > 1e-16 else objective(Xs, Y, W, b, l2)
             step = t
         self.n_iter_ = it + 1 if max_iter else 0
         self.W_, self.b_ = W, b

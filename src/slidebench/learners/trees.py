@@ -7,6 +7,15 @@ datasets), quantile-spaced cut points beyond that. Growth is level-wise so
 histograms for every frontier node are accumulated in a handful of
 vectorized passes; ties are broken toward the lowest feature index, then
 the lowest threshold.
+
+Split histograms are channel-major, `(channel, node, feature, bin)`: the
+channels are the class weights (gini) or the weight and weighted-target
+sums (variance), and the bins sit on the contiguous last axis that the
+prefix sums run along. The trees, and so the saved models, are
+byte-identical to a channel-last engine because every histogram cell sums
+its rows in row order and channel sums run left to right (numpy's order
+for a channel-last `sum(axis=-1)` below eight channels; `_chan_sum`
+defers to numpy itself from eight on).
 """
 
 from __future__ import annotations
@@ -272,6 +281,7 @@ class _GrowState:
         self.weighted = weighted
         self.n_chan = n_chan
         self.rows = rows
+        self.wy = w * target if mode == "variance" else None
 
     def totals_all(self) -> np.ndarray:
         if self.mode == "gini":
@@ -284,7 +294,7 @@ class _GrowState:
             flat = np.bincount(packed, weights=self.w[act], minlength=n_front * self.n_chan)
             return flat.reshape(n_front, self.n_chan)
         sw = np.bincount(slots, weights=self.w[act], minlength=n_front)
-        swy = np.bincount(slots, weights=(self.w * self.target)[act], minlength=n_front)
+        swy = np.bincount(slots, weights=self.wy[act], minlength=n_front)
         return np.stack([sw, swy], axis=1)
 
     def node_value(self, totals: np.ndarray) -> np.ndarray:
@@ -295,16 +305,27 @@ class _GrowState:
         return np.asarray([swy / sw if sw > 0 else 0.0])
 
 
-def _score_stats(stats: np.ndarray, mode: str) -> np.ndarray:
-    """Purity score to maximize; channel axis last."""
+def _chan_sum(parts) -> np.ndarray:
+    """Sum over the channel axis in the order numpy's `sum(axis=-1)` uses on
+    a channel-last array: left to right below eight channels, numpy's own
+    pairwise blocks from eight on."""
+    if len(parts) >= 8:
+        return np.stack(list(parts), axis=-1).sum(axis=-1)
+    total = parts[0]
+    for p in parts[1:]:
+        total = total + p
+    return total
+
+
+def _score_stats(stats: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Purity score to maximize, plus the weight total; channel axis first."""
     if mode == "gini":
-        total = stats.sum(axis=-1)
-        safe = np.where(total > 0, total, 1.0)
-        return (stats * stats).sum(axis=-1) / safe
-    sw = stats[..., 0]
-    swy = stats[..., 1]
-    safe = np.where(sw > 0, sw, 1.0)
-    return swy * swy / safe
+        total = _chan_sum(stats)
+        sq = _chan_sum([s * s for s in stats])
+    else:
+        total, swy = stats
+        sq = swy * swy
+    return sq / np.where(total > 0, total, 1.0), total
 
 
 def _find_splits(
@@ -318,7 +339,15 @@ def _find_splits(
     min_samples_leaf: int,
     max_b: int,
 ) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Best (feature, bin, child values) per frontier node; feature=-1 if none."""
+    """Best (feature, bin, child values) per frontier node; feature=-1 if none.
+
+    Histograms are channel-major, `(n_chan, node, feature, bin)`, so the
+    prefix sums over bins and the per-channel score arithmetic run along
+    contiguous memory. In gini mode the bincount index is
+    `class * cells + cell`, which leaves each cell's rows and their
+    summation order as they are; channel sums go through `_chan_sum`. Scores, and so the chosen splits
+    and leaf values, are bit-identical to those of a channel-last layout.
+    """
     table = state.table
     n_front, k = feats.shape
     n_chan = state.n_chan
@@ -351,41 +380,29 @@ def _find_splits(
             bn = table.codes[state.rows[c_act][:, None], cols].astype(np.int64)
             flat = (c_slots[:, None] * k + k_range) * max_b + bn
         cells = c_n * k * max_b
+        weights = np.repeat(state.w[c_act], k) if state.weighted else None
 
         if state.mode == "gini":
-            packed = (flat * n_chan + state.target[c_act][:, None]).ravel()
-            if state.weighted:
-                hists = np.bincount(
-                    packed, weights=np.repeat(state.w[c_act], k), minlength=cells * n_chan
-                ).reshape(c_n, k, max_b, n_chan)
-                hist_cnt = np.bincount(flat.ravel(), minlength=cells).reshape(c_n, k, max_b)
-            else:
-                hists = np.bincount(packed, minlength=cells * n_chan).astype(np.float64)
-                hists = hists.reshape(c_n, k, max_b, n_chan)
-                hist_cnt = hists.sum(axis=3)
+            packed = (flat + (state.target[c_act] * cells)[:, None]).ravel()
+            hists = np.bincount(packed, weights=weights, minlength=n_chan * cells)
         else:
-            flat = flat.ravel()
-            wy = state.w * state.target
-            sw = np.bincount(
-                flat, weights=np.repeat(state.w[c_act], k), minlength=cells
-            ) if state.weighted else np.bincount(flat, minlength=cells).astype(np.float64)
-            swy = np.bincount(flat, weights=np.repeat(wy[c_act], k), minlength=cells)
-            hists = np.stack(
-                [sw.reshape(c_n, k, max_b), swy.reshape(c_n, k, max_b)], axis=3
-            )
-            hist_cnt = (
-                np.bincount(flat, minlength=cells).reshape(c_n, k, max_b)
-                if state.weighted
-                else hists[..., 0]
-            )
+            sw = np.bincount(flat.ravel(), weights=weights, minlength=cells)
+            swy = np.bincount(flat.ravel(), weights=np.repeat(state.wy[c_act], k), minlength=cells)
+            hists = np.concatenate([sw, swy])
+        hists = hists.astype(np.float64, copy=False).reshape(n_chan, c_n, k, max_b)
 
-        cnt_l = np.cumsum(hist_cnt, axis=2)[:, :, :-1]
-        stat_l = np.cumsum(hists, axis=2)[:, :, :-1, :]
+        stat_l = np.cumsum(hists, axis=-1)[..., :-1]
+        stat_r = totals[start:stop].T[:, :, None, None] - stat_l
+        score_l, tot_l = _score_stats(stat_l, state.mode)
+        score = score_l + _score_stats(stat_r, state.mode)[0]
+        parent = _score_stats(totals[start:stop].T, state.mode)[0]
+
+        if state.weighted:
+            hist_cnt = np.bincount(flat.ravel(), minlength=cells).reshape(c_n, k, max_b)
+            cnt_l = np.cumsum(hist_cnt, axis=-1)[..., :-1]
+        else:
+            cnt_l = tot_l  # unit weights: the left weight total is the row count
         cnt_r = counts[start:stop, None, None] - cnt_l
-        stat_r = totals[start:stop, None, None, :] - stat_l
-
-        score = _score_stats(stat_l, state.mode) + _score_stats(stat_r, state.mode)
-        parent = _score_stats(totals[start:stop], state.mode)
 
         valid = (cnt_l >= min_samples_leaf) & (cnt_r >= min_samples_leaf)
         if cols is None:
@@ -409,8 +426,8 @@ def _find_splits(
             results[s] = (
                 int(feats[s, fi]),
                 b,
-                state.node_value(stat_l[j, fi, b]),
-                state.node_value(stat_r[j, fi, b]),
+                state.node_value(stat_l[:, j, fi, b]),
+                state.node_value(stat_r[:, j, fi, b]),
             )
     return results
 

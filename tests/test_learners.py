@@ -1,5 +1,7 @@
 """The seven classifiers: correctness oracles, contracts, serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ from slidebench.learners import (
     ClassifierSpec,
     KINDS,
     build_classifier,
+    default_grid,
     load_model,
     save_model,
 )
 from slidebench.learners.linear import LogisticRegression, gradients, objective
+from slidebench.learners import trees
 from slidebench.learners.trees import bin_features, grow_tree, TreeParams
 
 from conftest import make_blobs
@@ -100,6 +104,55 @@ class TestSpecValidation:
     def test_invalid_params(self, kind, params):
         with pytest.raises(ValueError):
             ClassifierSpec(kind, params=params)
+
+    @pytest.mark.parametrize(
+        "kind", ["decision_tree", "random_forest", "gradient_boosting", "adaboost"]
+    )
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            ({"max_bins": 0}, "max_bins"),
+            ({"max_bins": 1}, "max_bins"),
+            ({"max_bins": -5}, "max_bins"),
+            ({"max_bins": 65537}, "max_bins"),
+            ({"max_bins": 16.0}, "max_bins"),
+            ({"min_samples_leaf": 0}, "min_samples_leaf"),
+            ({"min_samples_leaf": -3}, "min_samples_leaf"),
+            ({"min_samples_split": 1}, "min_samples_split"),
+            ({"min_samples_split": -1}, "min_samples_split"),
+        ],
+    )
+    def test_invalid_tree_engine_params(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            ClassifierSpec(kind, params=params)
+
+    @pytest.mark.parametrize("value", [0, -2, True, 2.5, "log2"])
+    def test_invalid_forest_max_features(self, value):
+        with pytest.raises(ValueError, match="max_features"):
+            ClassifierSpec("random_forest", params={"max_features": value})
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"max_bins": 2},
+            {"max_bins": 65536},
+            {"min_samples_leaf": 1, "min_samples_split": 2},
+            {"max_features": None},
+            {"max_features": "sqrt"},
+            {"max_features": 1},
+        ],
+    )
+    def test_valid_tree_engine_params(self, params):
+        ClassifierSpec("random_forest", params=params)
+
+    def test_invalid_grid_value_rejected(self):
+        with pytest.raises(ValueError, match="max_bins"):
+            default_grid("gradient_boosting", overrides={"max_bins": [16, 1]})
+
+    def test_two_bins_still_fit(self, blob_data):
+        X, y, _, _ = blob_data
+        model = build_classifier(ClassifierSpec("decision_tree", params={"max_bins": 2})).fit(X, y)
+        assert model.tree_.n_nodes > 1
 
 
 def _perceptron_separable(X, y, n_classes=3, epochs=200) -> bool:
@@ -242,6 +295,90 @@ class TestEngine:
         tree, leaves = grow_tree(table, "variance", y, TreeParams(max_depth=2))
         for leaf in np.unique(leaves):
             np.testing.assert_allclose(tree.value[leaf, 0], y[leaves == leaf].mean(), atol=1e-10)
+
+
+def _engine_data():
+    """120 rows, 3 classes: five coarse features (binned at exact midpoints)
+    and one continuous feature with 120 distinct values, more than the
+    default max_bins of 64, so it is quantile-binned."""
+    X, y = make_blobs([35, 40, 45], d=6, sep=1.5, seed=21)
+    X[:, :5] = np.round(X[:, :5] * 2.0) / 2.0
+    return X, y
+
+
+# sha256 of each saved model fit on `_engine_data()`, recorded with the
+# channel-last engine that the channel-major histograms replaced (numpy 2.4,
+# x86-64). Any change to the tree engine must leave every byte of these
+# models unchanged.
+GOLDEN_MODELS = {
+    "decision_tree_depth2": (
+        ClassifierSpec("decision_tree", {"max_depth": 2}, seed=4),
+        "73f33100df56751c9786a576cb9d959003cb60fcb73a966036aaec633f325dda",
+    ),
+    "decision_tree_full": (
+        ClassifierSpec("decision_tree", {"max_depth": None}, seed=4),
+        "14eeb095718ac22030737a5f66421d0d23a98f2d92bad39a33b3bd78ba25c712",
+    ),
+    "random_forest": (
+        ClassifierSpec("random_forest", {"n_estimators": 6}, seed=4),
+        "05c352721dcf607f1070c8dfe7ed33779530a9053f336571dc082f99ac638df6",
+    ),
+    "gradient_boosting": (
+        ClassifierSpec("gradient_boosting", {"n_estimators": 6, "max_depth": 3}, seed=4),
+        "632c8f61ed646a849a55bfe6c299ac73e0e673f1be17310675d4b6a1cce95975",
+    ),
+    "adaboost": (
+        ClassifierSpec("adaboost", {"n_estimators": 6, "base_depth": 2}, seed=4),
+        "dc96cb46de95915bc974d75cedc3532b1dae54abc40eb8ca95dbb2233e785a30",
+    ),
+}
+
+
+class TestEngineGoldenBytes:
+    def test_data_reaches_both_binning_branches(self):
+        X, _ = _engine_data()
+        distinct = [np.unique(X[:, f]).size for f in range(X.shape[1])]
+        assert max(distinct[:5]) <= 64 < distinct[5]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+    def test_model_bytes_unchanged(self, name, tmp_path):
+        spec, digest = GOLDEN_MODELS[name]
+        X, y = _engine_data()
+        path = save_model(build_classifier(spec).fit(X, y), tmp_path / f"{name}.modl")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _grow_case(case: str):
+    X, y = _engine_data()
+    table = bin_features(X)
+    rng = np.random.default_rng(5)
+    if case == "gini":
+        return grow_tree(table, "gini", y, TreeParams(), n_classes=3)
+    if case == "weighted_gini":
+        w = rng.random(len(y)) + 0.1
+        return grow_tree(table, "gini", y, TreeParams(), n_classes=3, sample_weight=w)
+    if case == "subsampled":
+        draw = np.bincount(rng.integers(0, len(y), len(y)), minlength=len(y)).astype(np.float64)
+        rows = np.flatnonzero(draw > 0)
+        return grow_tree(
+            table, "gini", y, TreeParams(max_features=2), n_classes=3,
+            sample_weight=draw[rows], rows=rows, rng=rng,
+        )
+    return grow_tree(table, "variance", rng.standard_normal(len(y)), TreeParams(max_depth=4))
+
+
+class TestChunkedFrontier:
+    @pytest.mark.parametrize("case", ["gini", "weighted_gini", "subsampled", "variance"])
+    def test_one_node_chunks_match_unchunked(self, case, monkeypatch):
+        whole, leaves = _grow_case(case)
+        # A budget of one cell leaves one frontier node per histogram pass.
+        monkeypatch.setattr(trees, "_CELL_BUDGET", 1)
+        chunked, chunked_leaves = _grow_case(case)
+        assert whole.n_nodes > 3  # some level has a frontier of several nodes
+        for name in ("feature", "threshold", "left", "right", "value"):
+            a, b = getattr(whole, name), getattr(chunked, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        np.testing.assert_array_equal(leaves, chunked_leaves)
 
 
 class TestKNN:
