@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .embeddings import BACKEND_KINDS, BackendSpec
-from .learners import KINDS
+from .learners import KINDS, ClassifierSpec, default_grid
 
 
 class ConfigError(ValueError):
@@ -103,6 +103,29 @@ class RunConfig:
             raise ConfigError("learning_curve_repeats must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        self._check_grids()
+
+    def _check_grids(self) -> None:
+        """Reject, before any stage runs, grids the train stage would fail on."""
+        if not isinstance(self.grids, dict):
+            raise ConfigError("grids must map classifier kinds to parameter axes")
+        for kind, axes in self.grids.items():
+            if kind not in KINDS:
+                raise ConfigError(f"grids: unknown classifier kind {kind!r}")
+            if not isinstance(axes, dict):
+                raise ConfigError(f"grids.{kind} must map parameter names to value lists")
+            for name, values in axes.items():
+                if not isinstance(values, list) or not values:
+                    raise ConfigError(f"grids.{kind}.{name} must be a non-empty list")
+            try:
+                self.classifier_grid(kind)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"grids.{kind}: {exc}") from None
+
+    def classifier_grid(self, kind: str) -> list[ClassifierSpec]:
+        """The specs the train stage cross-validates for one classifier kind."""
+        seed = derive_seed(self.seed, f"train:{kind}")
+        return default_grid(kind, seed=seed, overrides=self.grids.get(kind))
 
     def to_dict(self) -> dict:
         return {

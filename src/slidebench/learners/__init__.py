@@ -16,7 +16,7 @@ from .factory import DEFAULT_GRIDS, build_classifier, default_grid
 from .io import MODEL_SUFFIX, ModelFormatError, load_model, save_model
 from .linear import LogisticRegression
 from .neighbors import KNearestNeighbor
-from .trees import DecisionTree, FittedTree, TreeParams, bin_features, grow_tree
+from .trees import DecisionTree, FittedTree, TreeParams, bin_features, grow_tree, shared_bins
 
 __all__ = [
     "KINDS",
@@ -48,6 +48,7 @@ __all__ = [
     "TreeParams",
     "bin_features",
     "grow_tree",
+    "shared_bins",
 ]
 
 

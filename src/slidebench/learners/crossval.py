@@ -1,10 +1,13 @@
 """Stratified k-fold cross-validation over hyperparameter grids.
 
 Fold assignment is computed once per call, so every grid point is scored
-on identical folds (paired comparison). Grids that differ only in
-n_estimators are evaluated from a single fit per fold via staged
-predictions, which is exact because ensemble members are seeded
-independently of the requested total.
+on identical folds (paired comparison). Grid points that differ only in
+their staged parameter form a family that is evaluated from a single fit
+per fold via staged predictions: `n_estimators` for the ensembles, which
+is exact because members are seeded independently of the requested
+total, and `max_depth` for decision trees (None deepest), which is exact
+because trees grow level-wise and a node's split and value depend only on
+its own rows.
 """
 
 from __future__ import annotations
@@ -72,12 +75,30 @@ class CvResult:
         ]
 
 
-_STAGEABLE = {"random_forest", "gradient_boosting", "adaboost"}
+# Kind -> the parameter whose grid values one fit per fold serves, and
+# its default.
+_STAGEABLE = {
+    "random_forest": ("n_estimators", 100),
+    "gradient_boosting": ("n_estimators", 100),
+    "adaboost": ("n_estimators", 100),
+    "decision_tree": ("max_depth", None),
+}
 
 
 def _family_key(spec: ClassifierSpec) -> tuple:
-    rest = tuple(sorted((k, repr(v)) for k, v in spec.params.items() if k != "n_estimators"))
+    staged = _STAGEABLE[spec.kind][0]
+    rest = tuple(sorted((k, repr(v)) for k, v in spec.params.items() if k != staged))
     return (spec.kind, spec.seed, rest)
+
+
+def _stage(spec: ClassifierSpec):
+    name, default = _STAGEABLE[spec.kind]
+    return spec.params.get(name, default)
+
+
+def _stage_order(stage) -> float:
+    """Sort key of a stage value; None (no depth limit) is the deepest."""
+    return float("inf") if stage is None else stage
 
 
 def cross_validate(
@@ -95,7 +116,7 @@ def cross_validate(
     folds = stratified_folds(y, plan)
     acc = np.zeros((len(grid), plan.n_folds))
 
-    # Group stageable specs into families sharing all params but n_estimators.
+    # Group stageable specs into families sharing all params but the staged one.
     families: dict[tuple, list[int]] = {}
     singles: list[int] = []
     for i, spec in enumerate(grid):
@@ -112,14 +133,12 @@ def cross_validate(
             model = build_classifier(grid[i]).fit(Xt, yt)
             acc[i, fold] = float(np.mean(model.predict(Xv) == yv))
         for members in families.values():
-            stages = [int(grid[i].params.get("n_estimators", 100)) for i in members]
-            order = np.argsort(stages, kind="stable")
-            top = members[int(order[-1])]
-            model = build_classifier(grid[top]).fit(Xt, yt)
-            probas = model.staged_proba(Xv, sorted(stages))
-            for rank, pos in enumerate(order):
-                pred = model.classes_[np.argmax(probas[rank], axis=1)]
-                acc[members[int(pos)], fold] = float(np.mean(pred == yv))
+            order = sorted(members, key=lambda i: _stage_order(_stage(grid[i])))
+            model = build_classifier(grid[order[-1]]).fit(Xt, yt)
+            probas = model.staged_proba(Xv, [_stage(grid[i]) for i in order])
+            for i, proba in zip(order, probas):
+                pred = model.classes_[np.argmax(proba, axis=1)]
+                acc[i, fold] = float(np.mean(pred == yv))
 
     mean_acc = acc.mean(axis=1)
     best = int(np.argmax(mean_acc))

@@ -16,26 +16,41 @@ from .base import (
 _ARMIJO_C = 1e-4
 
 
+def _logits(Xs: np.ndarray, W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-max-shifted logits Z and their exponentials exp(Z)."""
+    Z = Xs @ W + b
+    Z = Z - Z.max(axis=1, keepdims=True)
+    return Z, np.exp(Z)
+
+
+def _loss(Z: np.ndarray, E: np.ndarray, Y: np.ndarray, W: np.ndarray, l2: float) -> float:
+    log_norm = np.log(E.sum(axis=1))
+    ce = float(np.mean(log_norm - (Z * Y).sum(axis=1)))
+    return ce + 0.5 * l2 * float((W * W).sum())
+
+
+def _gradients(
+    Xs: np.ndarray, Y: np.ndarray, P: np.ndarray, W: np.ndarray, l2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    R = P - Y
+    gW = Xs.T @ R / Xs.shape[0] + l2 * W
+    gb = R.mean(axis=0)
+    return gW, gb
+
+
 def objective(
     Xs: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray, l2: float
 ) -> float:
     """Mean cross-entropy plus (l2/2)*||W||^2; intercepts are unpenalized."""
-    Z = Xs @ W + b
-    Z = Z - Z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(Z).sum(axis=1))
-    ce = float(np.mean(log_norm - (Z * Y).sum(axis=1)))
-    return ce + 0.5 * l2 * float((W * W).sum())
+    Z, E = _logits(Xs, W, b)
+    return _loss(Z, E, Y, W, l2)
 
 
 def gradients(
     Xs: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray, l2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of `objective` w.r.t. W and b."""
-    P = softmax(Xs @ W + b)
-    R = P - Y
-    gW = Xs.T @ R / Xs.shape[0] + l2 * W
-    gb = R.mean(axis=0)
-    return gW, gb
+    return _gradients(Xs, Y, softmax(Xs @ W + b), W, l2)
 
 
 class LogisticRegression(BaseClassifier):
@@ -68,10 +83,13 @@ class LogisticRegression(BaseClassifier):
         W = np.zeros((X.shape[1], k))
         b = np.zeros(k)
 
-        loss = objective(Xs, Y, W, b, l2)
+        Z, E = _logits(Xs, W, b)
+        loss = _loss(Z, E, Y, W, l2)
         step = 1.0
         for it in range(max_iter):
-            gW, gb = gradients(Xs, Y, W, b, l2)
+            # E holds the exponentials at exactly this (W, b), so the softmax
+            # is E over its row sums.
+            gW, gb = _gradients(Xs, Y, E / E.sum(axis=1, keepdims=True), W, l2)
             grad_inf = max(np.abs(gW).max(), np.abs(gb).max())
             if grad_inf < tol:
                 break
@@ -79,14 +97,18 @@ class LogisticRegression(BaseClassifier):
             # Backtracking from twice the last accepted step.
             t = min(step * 2.0, 64.0)
             while t > 1e-16:
-                cand = objective(Xs, Y, W - t * gW, b - t * gb, l2)
+                W_t, b_t = W - t * gW, b - t * gb
+                Z, E = _logits(Xs, W_t, b_t)
+                cand = _loss(Z, E, Y, W_t, l2)
                 if cand <= loss - _ARMIJO_C * t * sq_norm:
                     break
                 t *= 0.5
-            W = W - t * gW
-            b = b - t * gb
-            # An accepted step was evaluated at exactly this (W, b).
-            loss = cand if t > 1e-16 else objective(Xs, Y, W, b, l2)
+            if t <= 1e-16:
+                # Backtracking ran out: take the step t anyway.
+                W_t, b_t = W - t * gW, b - t * gb
+                Z, E = _logits(Xs, W_t, b_t)
+                cand = _loss(Z, E, Y, W_t, l2)
+            W, b, loss = W_t, b_t, cand
             step = t
         self.n_iter_ = it + 1 if max_iter else 0
         self.W_, self.b_ = W, b

@@ -16,11 +16,24 @@ byte-identical to a channel-last engine because every histogram cell sums
 its rows in row order and channel sums run left to right (numpy's order
 for a channel-last `sum(axis=-1)` below eight channels; `_chan_sum`
 defers to numpy itself from eight on).
+
+Only splittable frontier nodes (enough rows and, in gini mode, impure)
+get histograms; per-split feature subsets are still drawn for the whole
+frontier, so the RNG stream is the same whichever nodes can split.
+
+Binning a training matrix is shared inside a `shared_bins()` block: there
+`bin_features` returns the same read-only `BinTable` for every call on an
+equal matrix (same shape, `max_bins` and float64 bytes), so the trees of
+every kind and grid point that cross-validation fits on one fold matrix
+bin it once. The cache lives only as long as the block (the runner opens
+one per train stage); outside a block every call bins afresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,9 +43,12 @@ DEFAULT_MAX_BINS = 64
 _GAIN_EPS = 1e-12
 # Cap on histogram cells per pass; frontiers larger than this are chunked.
 _CELL_BUDGET = 8_000_000
+# (shape, max_bins, digest of the float64 bytes) -> BinTable, while a
+# shared_bins() block is open; None outside one.
+_shared: dict | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinTable:
     """Binned view of a feature matrix plus per-feature split candidates."""
 
@@ -50,8 +66,36 @@ class BinTable:
         return float(self.edges_flat[self.edge_offset[feature] + boundary])
 
 
+@contextmanager
+def shared_bins():
+    """Share one `BinTable` per distinct training matrix within the block.
+
+    A nested block uses the cache of the outermost one, and the cache is
+    dropped when that block ends.
+    """
+    global _shared
+    outer = _shared
+    if outer is None:
+        _shared = {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
 def bin_features(X: np.ndarray, max_bins: int = DEFAULT_MAX_BINS) -> BinTable:
-    X = np.asarray(X, dtype=np.float64)
+    """Bin codes and split candidates of X; its arrays are read-only."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if _shared is None:
+        return _bin(X, max_bins)
+    key = (X.shape, max_bins, hashlib.blake2b(X, digest_size=16).digest())
+    table = _shared.get(key)
+    if table is None:
+        table = _shared[key] = _bin(X, max_bins)
+    return table
+
+
+def _bin(X: np.ndarray, max_bins: int) -> BinTable:
     n, d = X.shape
     xs = np.sort(X, axis=0)
     change = xs[1:] != xs[:-1] if n > 1 else np.zeros((0, d), dtype=bool)
@@ -82,13 +126,16 @@ def bin_features(X: np.ndarray, max_bins: int = DEFAULT_MAX_BINS) -> BinTable:
     edges_flat = np.concatenate(edges_per_feature) if d else np.zeros(0)
     max_b = int(n_bins.max()) if d else 1
     flat_codes = codes.astype(np.int64) + np.arange(d, dtype=np.int64) * max_b
-    return BinTable(
+    table = BinTable(
         codes=codes,
         n_bins=n_bins,
         edges_flat=edges_flat,
         edge_offset=edge_offset,
         flat_codes=flat_codes,
     )
+    for f in fields(table):
+        getattr(table, f.name).flags.writeable = False
+    return table
 
 
 @dataclass
@@ -113,11 +160,17 @@ class FittedTree:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id for each row."""
+    def apply(self, X: np.ndarray, max_depth: int | None = None) -> np.ndarray:
+        """Leaf node id for each row.
+
+        With `max_depth`, each row stops after at most that many splits:
+        the leaf it reaches in this tree grown with that depth limit, as
+        growth is level-wise and a node's split and value depend only on
+        its own rows.
+        """
         X = np.asarray(X, dtype=np.float64)
         node = np.zeros(X.shape[0], dtype=np.int64)
-        for _ in range(self.n_nodes + 1):
+        for _ in range(self.n_nodes + 1 if max_depth is None else max_depth):
             feat = self.feature[node]
             live = feat >= 0
             if not live.any():
@@ -224,6 +277,8 @@ def grow_tree(
             break
 
         if k_feats < d:
+            # Drawn for the whole frontier: the stream does not depend on
+            # which nodes can split.
             assert rng is not None
             noise = rng.random((n_front, d))
             part = np.argpartition(noise, k_feats - 1, axis=1)[:, :k_feats]
@@ -231,8 +286,12 @@ def grow_tree(
         else:
             feats = np.broadcast_to(np.arange(d, dtype=np.int64), (n_front, d))
 
-        best = _find_splits(
-            state, counts, totals, act, slots, feats, splittable,
+        # Only splittable nodes and their rows reach the histogram passes.
+        nodes = np.flatnonzero(splittable)
+        keep = splittable[slots]
+        rank = np.cumsum(splittable) - 1
+        splits = _find_splits(
+            state, counts[nodes], totals[nodes], act[keep], rank[slots[keep]], feats[nodes],
             params.min_samples_leaf, max_b,
         )
 
@@ -240,10 +299,8 @@ def grow_tree(
         child_map = np.full((n_front, 2), -1, dtype=np.int64)
         split_feat = np.full(n_front, -1, dtype=np.int64)
         split_bin = np.full(n_front, -1, dtype=np.int64)
-        for s in range(n_front):
-            f_global, b, val_l, val_r = best[s]
-            if f_global < 0:
-                continue
+        for j, f_global, b, val_l, val_r in splits:
+            s = int(nodes[j])
             nid = front_start + s
             lid = store.add(val_l)
             rid = store.add(val_r)
@@ -335,25 +392,25 @@ def _find_splits(
     act: np.ndarray,
     slots: np.ndarray,
     feats: np.ndarray,
-    splittable: np.ndarray,
     min_samples_leaf: int,
     max_b: int,
-) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Best (feature, bin, child values) per frontier node; feature=-1 if none.
+) -> list[tuple[int, int, int, np.ndarray, np.ndarray]]:
+    """Best split of each node that has one: (node, feature, bin, child values).
 
+    `counts`, `totals` and `feats` hold one entry per node; `act` and
+    `slots` give each row and its node. Results come in node order.
     Histograms are channel-major, `(n_chan, node, feature, bin)`, so the
     prefix sums over bins and the per-channel score arithmetic run along
     contiguous memory. In gini mode the bincount index is
     `class * cells + cell`, which leaves each cell's rows and their
-    summation order as they are; channel sums go through `_chan_sum`. Scores, and so the chosen splits
-    and leaf values, are bit-identical to those of a channel-last layout.
+    summation order as they are; channel sums go through `_chan_sum`.
+    Scores, and so the chosen splits and leaf values, are bit-identical to
+    those of a channel-last layout.
     """
     table = state.table
     n_front, k = feats.shape
     n_chan = state.n_chan
-    results: list[tuple[int, int, np.ndarray, np.ndarray]] = [
-        (-1, -1, totals[s], totals[s]) for s in range(n_front)
-    ]
+    results: list[tuple[int, int, int, np.ndarray, np.ndarray]] = []
 
     # Chunk frontier nodes so histogram arrays stay within the cell budget.
     per_node_cells = k * max_b * n_chan
@@ -391,7 +448,8 @@ def _find_splits(
             hists = np.concatenate([sw, swy])
         hists = hists.astype(np.float64, copy=False).reshape(n_chan, c_n, k, max_b)
 
-        stat_l = np.cumsum(hists, axis=-1)[..., :-1]
+        # The last bin is never a left boundary, so it is left out of the sums.
+        stat_l = np.cumsum(hists[..., :-1], axis=-1)
         stat_r = totals[start:stop].T[:, :, None, None] - stat_l
         score_l, tot_l = _score_stats(stat_l, state.mode)
         score = score_l + _score_stats(stat_r, state.mode)[0]
@@ -399,7 +457,7 @@ def _find_splits(
 
         if state.weighted:
             hist_cnt = np.bincount(flat.ravel(), minlength=cells).reshape(c_n, k, max_b)
-            cnt_l = np.cumsum(hist_cnt, axis=-1)[..., :-1]
+            cnt_l = np.cumsum(hist_cnt[..., :-1], axis=-1)
         else:
             cnt_l = tot_l  # unit weights: the left weight total is the row count
         cnt_r = counts[start:stop, None, None] - cnt_l
@@ -410,7 +468,6 @@ def _find_splits(
         else:
             bmax = (table.n_bins[feats[start:stop]] - 1)[:, :, None]
         valid &= np.arange(max_b - 1)[None, None, :] < bmax
-        valid &= splittable[start:stop, None, None]
         score = np.where(valid, score, -np.inf)
 
         flat_score = score.reshape(c_n, -1)
@@ -423,12 +480,13 @@ def _find_splits(
         for j in np.flatnonzero(ok):
             s = start + j
             fi, b = divmod(int(best_idx[j]), max_b - 1)
-            results[s] = (
+            results.append((
+                s,
                 int(feats[s, fi]),
                 b,
                 state.node_value(stat_l[:, j, fi, b]),
                 state.node_value(stat_r[:, j, fi, b]),
-            )
+            ))
     return results
 
 
@@ -457,3 +515,11 @@ class DecisionTree(BaseClassifier):
             raise ValueError("classifier is not fitted")
         X = self._check_predict_input(X, self._d)
         return normalize_rows(self.tree_.predict_value(X))
+
+    def staged_proba(self, X: np.ndarray, depths: list[int | None]) -> list[np.ndarray]:
+        """Probabilities of this tree cut at each depth (None: uncut), which
+        equal those of a tree fit with that `max_depth` up to the fitted one."""
+        if self.tree_ is None:
+            raise ValueError("classifier is not fitted")
+        X = self._check_predict_input(X, self._d)
+        return [normalize_rows(self.tree_.value[self.tree_.apply(X, depth)]) for depth in depths]

@@ -26,8 +26,8 @@ from .learners import (
     CvPlan,
     build_classifier,
     cross_validate,
-    default_grid,
     save_model,
+    shared_bins,
 )
 from .manifest import Manifest, category_counts, effective_split, filter_categories, parse_manifest
 from .metrics import EvaluationReport, classification_report
@@ -137,12 +137,6 @@ class FitResult:
     test_labels: np.ndarray
 
 
-def _classifier_grid(cfg: RunConfig, kind: str) -> list[ClassifierSpec]:
-    seed = derive_seed(cfg.seed, f"train:{kind}")
-    overrides = cfg.grids.get(kind)
-    return default_grid(kind, seed=seed, overrides=overrides)
-
-
 def _fit_one(args: tuple) -> FitResult:
     backend_name, kind, rows_tr, y_tr, rows_te, y_te, ids_te, grid, cv_folds, cv_seed = args
     plan = CvPlan(n_folds=cv_folds, stratified=True, seed=cv_seed)
@@ -177,7 +171,7 @@ def train_evaluate_stage(
         y_tr = train_dm.labels.astype(np.int64)
         y_te = test_dm.labels.astype(np.int64)
         for kind in cfg.classifiers:
-            grid = _classifier_grid(cfg, kind)
+            grid = cfg.classifier_grid(kind)
             tasks.append(
                 (
                     backend.name,
@@ -193,11 +187,14 @@ def train_evaluate_stage(
                 )
             )
 
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            fitted = list(pool.map(_fit_one, tasks))
-    else:
-        fitted = [_fit_one(t) for t in tasks]
+    # Tree fits share one binning per fold matrix for this stage only;
+    # forked workers start inside the block with its still-empty cache.
+    with shared_bins():
+        if cfg.jobs > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+                fitted = list(pool.map(_fit_one, tasks))
+        else:
+            fitted = [_fit_one(t) for t in tasks]
 
     results: dict[tuple[str, str], FitResult] = {}
     for res in fitted:

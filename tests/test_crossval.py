@@ -104,21 +104,43 @@ class TestCrossValidate:
 
     def test_staged_family_matches_independent_fits(self):
         # The staged-prefix path must give the same fold accuracies as
-        # fitting each ensemble size from scratch.
+        # fitting each ensemble size or tree depth from scratch. The depth
+        # grid is unsorted, holds None, and splits into two families.
         X, y = make_blobs([20, 25, 25], d=5, sep=1.5, seed=6)
         plan = CvPlan(seed=7)
-        grid = default_grid("random_forest", seed=8, overrides={"n_estimators": [5, 10, 20]})
-        result = cross_validate(grid, X, y, plan)
+        cases = [
+            ("random_forest", {"n_estimators": [5, 10, 20]}),
+            ("decision_tree", {"max_depth": [None, 2, 8, 4], "min_samples_leaf": [1, 3]}),
+        ]
 
         from slidebench.learners import build_classifier
 
         folds = stratified_folds(y, plan)
-        for gi, spec in enumerate(grid):
-            for f in range(5):
-                val = folds == f
-                model = build_classifier(spec).fit(X[~val], y[~val])
-                acc = np.mean(model.predict(X[val]) == y[val])
-                assert result.fold_accuracy[gi, f] == pytest.approx(acc, abs=1e-12)
+        for kind, axes in cases:
+            grid = default_grid(kind, seed=8, overrides=axes)
+            result = cross_validate(grid, X, y, plan)
+            for gi, spec in enumerate(grid):
+                for f in range(5):
+                    val = folds == f
+                    model = build_classifier(spec).fit(X[~val], y[~val])
+                    acc = np.mean(model.predict(X[val]) == y[val])
+                    assert result.fold_accuracy[gi, f] == acc, (spec.spec_id(), f)
+
+    def test_depth_family_fits_once_per_fold(self, monkeypatch):
+        from slidebench.learners import DecisionTree
+
+        depths = []
+        fit = DecisionTree.fit
+
+        def counting_fit(model, X, y):
+            depths.append(model.spec.params["max_depth"])
+            return fit(model, X, y)
+
+        monkeypatch.setattr(DecisionTree, "fit", counting_fit)
+        X, y = make_blobs([20, 25, 25], d=5, sep=1.5, seed=6)
+        grid = default_grid("decision_tree", overrides={"max_depth": [2, None, 4]})
+        cross_validate(grid, X, y, CvPlan(seed=7))
+        assert depths == [None] * 5
 
     def test_fold_assignment_shared_across_specs(self):
         X, y = make_blobs([15, 15, 15], d=4, sep=2.0, seed=9)

@@ -260,6 +260,17 @@ class TestDecisionTree:
         # A depth-2 binary tree has at most 7 nodes.
         assert model.tree_.n_nodes <= 7
 
+    def test_depth_cut_equals_depth_limited_fit(self, blob_data):
+        X, y, Xt, _ = blob_data
+        deep = build_classifier(ClassifierSpec("decision_tree")).fit(X, y)
+        depths = [1, 2, 3, 5, None]
+        staged = deep.staged_proba(Xt, depths)
+        for depth, proba in zip(depths, staged):
+            spec = ClassifierSpec("decision_tree", params={"max_depth": depth})
+            expected = build_classifier(spec).fit(X, y).predict_proba(Xt)
+            assert proba.tobytes() == expected.tobytes(), depth
+        assert staged[0].tobytes() != staged[-1].tobytes()
+
     def test_pure_training_fit_unbounded(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((50, 8))
@@ -308,8 +319,9 @@ def _engine_data():
 
 # sha256 of each saved model fit on `_engine_data()`, recorded with the
 # channel-last engine that the channel-major histograms replaced (numpy 2.4,
-# x86-64). Any change to the tree engine must leave every byte of these
-# models unchanged.
+# x86-64); the last two, whose frontiers mix splittable and unsplittable
+# nodes, with the engine that still histogrammed every frontier node. Any
+# change to the tree engine must leave every byte of these models unchanged.
 GOLDEN_MODELS = {
     "decision_tree_depth2": (
         ClassifierSpec("decision_tree", {"max_depth": 2}, seed=4),
@@ -330,6 +342,14 @@ GOLDEN_MODELS = {
     "adaboost": (
         ClassifierSpec("adaboost", {"n_estimators": 6, "base_depth": 2}, seed=4),
         "dc96cb46de95915bc974d75cedc3532b1dae54abc40eb8ca95dbb2233e785a30",
+    ),
+    "decision_tree_split12": (
+        ClassifierSpec("decision_tree", {"max_depth": None, "min_samples_split": 12}, seed=4),
+        "8fbcf788562831af6b7e537d2a662e52adcabeff8f974417442fd58ba73cc9ae",
+    ),
+    "random_forest_leaf3": (
+        ClassifierSpec("random_forest", {"n_estimators": 6, "min_samples_leaf": 3}, seed=4),
+        "dcd187777b9ee1a0b2ee5ee5c7d02e00c4ba0bf729e653303e4dc0ebb348802d",
     ),
 }
 
@@ -379,6 +399,53 @@ class TestChunkedFrontier:
             a, b = getattr(whole, name), getattr(chunked, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         np.testing.assert_array_equal(leaves, chunked_leaves)
+
+
+class TestSharedBins:
+    FIELDS = ("codes", "n_bins", "edges_flat", "edge_offset", "flat_codes")
+
+    def test_equal_matrices_share_one_table(self):
+        X, _ = _engine_data()
+        with trees.shared_bins():
+            table = bin_features(X)
+            assert bin_features(X.copy()) is table
+            assert bin_features(np.asfortranarray(X)) is table
+            assert bin_features(X + 1.0) is not table
+            assert bin_features(X[:-1]) is not table
+            assert bin_features(X, max_bins=16) is not table
+            assert bin_features(X, max_bins=16) is bin_features(X.copy(), max_bins=16)
+
+    def test_nothing_shared_outside_the_block(self):
+        X, _ = _engine_data()
+        assert bin_features(X) is not bin_features(X)
+        with trees.shared_bins():
+            inside = bin_features(X)
+            with trees.shared_bins():
+                assert bin_features(X) is inside  # a nested block shares the outer cache
+        assert bin_features(X) is not inside
+        with trees.shared_bins():
+            assert bin_features(X) is not inside  # each block starts empty
+
+    def test_tables_are_read_only(self):
+        X, _ = _engine_data()
+        with trees.shared_bins():
+            shared = bin_features(X)
+        for table in (shared, bin_features(X)):
+            for name in self.FIELDS:
+                arr = getattr(table, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+
+    def test_shared_table_equals_unshared(self):
+        X, _ = _engine_data()
+        with trees.shared_bins():
+            bin_features(X)
+            shared = bin_features(X.copy())
+        fresh = bin_features(X)
+        for name in self.FIELDS:
+            a, b = getattr(shared, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestKNN:

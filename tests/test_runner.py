@@ -1,6 +1,7 @@
 """Pipeline orchestration: stages, comparison, learning curve, CLI."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import slidebench
 from slidebench.categories import Category, Subset
 from slidebench.config import BackendConfig, ConfigError, RunConfig, load_config
 from slidebench.fixture import paper_manifest
@@ -286,12 +288,43 @@ class TestConfig:
         with pytest.raises(ConfigError, match="strictly increasing"):
             small_config(tmp_path, learning_curve_sizes=[50, 20])
 
+    # Each of these used to pass config validation; the invalid spec, the
+    # empty and the scalar axis then failed only in the train stage, and the
+    # misspelled kind was ignored in favour of the default grid.
+    def test_invalid_grid_spec_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="var_floor_ratio must be >= 0"):
+            small_config(tmp_path, grids={"naive_bayes": {"var_floor_ratio": [-1.0]}})
+
+    def test_unknown_grid_kind_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown classifier kind 'decison_tree'"):
+            small_config(tmp_path, grids={"decison_tree": {"max_depth": [2]}})
+
+    def test_empty_grid_axis_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="grids.knn.k must be a non-empty list"):
+            small_config(tmp_path, grids={"knn": {"k": []}})
+
+    def test_scalar_grid_axis_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="grids.knn.k must be a non-empty list"):
+            small_config(tmp_path, grids={"knn": {"k": 3}})
+
+    def test_grid_errors_raised_when_loading(self, tmp_path):
+        raw = small_config(tmp_path).to_dict()
+        raw["grids"] = {"knn": {"k": ["three"]}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="grids.knn"):
+            load_config(path)
+
 
 class TestCli:
     def run_cli(self, *args):
+        # The CLI process imports the same slidebench as this one, also
+        # when only pytest's own `pythonpath` setting put it on sys.path.
+        src = str(Path(slidebench.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run(
             [sys.executable, "-m", "slidebench.cli", *args],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
 
     def test_fixture_and_ingest(self, tmp_path):
