@@ -55,8 +55,11 @@ def derive_seed(run_seed: int, tag: str) -> int:
     return (run_seed * 1_000_003 + zlib.crc32(tag.encode("utf-8"))) & 0x7FFFFFFF
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """A validated run configuration. Frozen, so every field goes through
+    `__post_init__`: derive a changed config with `dataclasses.replace`."""
+
     manifest: str
     out_dir: str
     cache_dir: str

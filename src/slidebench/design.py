@@ -60,14 +60,21 @@ class DesignMatrix:
 def mean_aggregate(emb: EmbeddingMatrix) -> np.ndarray:
     """Average the patch embeddings into one slide vector.
 
-    Accumulates in float64 in ascending patch order (patch counts can
-    exceed 20k, where float32 running sums lose digits), then stores f32.
+    Accumulates in float64 in ascending patch order, starting from +0.0
+    (patch counts can exceed 20k, where float32 running sums lose digits),
+    then stores f32.
     """
     if emb.m < 1:
         raise DesignError("cannot aggregate an empty embedding matrix")
-    acc = np.zeros(emb.d, dtype=np.float64)
-    for i in range(emb.m):
-        acc += emb.data[i].astype(np.float64)
+    if emb.d == 1:
+        # numpy sums a lone contiguous column pairwise, not in patch order;
+        # accumulate is sequential, and + 0.0 turns an all -0.0 column into
+        # the +0.0 that a zero-started sum gives.
+        acc = np.add.accumulate(emb.data[:, 0], dtype=np.float64)[-1:] + 0.0
+    else:
+        # With d >= 2 the reduction adds whole rows into the accumulator, in
+        # patch order, casting as it goes instead of copying the matrix.
+        acc = np.add.reduce(emb.data, axis=0, dtype=np.float64, initial=0.0)
     return (acc / emb.m).astype(np.float32)
 
 

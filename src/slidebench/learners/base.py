@@ -124,6 +124,20 @@ def check_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
     return X, y.astype(np.int64)
 
 
+def chan_sum(parts) -> np.ndarray:
+    """Sum equal-shape arrays in the order numpy's `sum(axis=-1)` uses on
+    them stacked channel-last: left to right below eight channels, numpy's
+    own pairwise blocks from eight on. For the row sums of a 2-D array `A`
+    pass `A.T`; the result equals `A.sum(axis=1)` byte for byte.
+    """
+    if len(parts) >= 8:
+        return np.stack(list(parts), axis=-1).sum(axis=-1)
+    total = parts[0]
+    for p in parts[1:]:
+        total = total + p
+    return total
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)

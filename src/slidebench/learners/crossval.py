@@ -5,9 +5,10 @@ on identical folds (paired comparison). Grid points that differ only in
 their staged parameter form a family that is evaluated from a single fit
 per fold via staged predictions: `n_estimators` for the ensembles, which
 is exact because members are seeded independently of the requested
-total, and `max_depth` for decision trees (None deepest), which is exact
+total; `max_depth` for decision trees (None deepest), which is exact
 because trees grow level-wise and a node's split and value depend only on
-its own rows.
+its own rows; and `k` for nearest neighbors, which is exact because every
+k votes over a prefix of the same stable distance order.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ _STAGEABLE = {
     "gradient_boosting": ("n_estimators", 100),
     "adaboost": ("n_estimators", 100),
     "decision_tree": ("max_depth", None),
+    "knn": ("k", 5),
 }
 
 

@@ -23,19 +23,21 @@ class KNearestNeighbor(BaseClassifier):
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        return self.staged_proba(X, [self.spec.params.get("k", 5)])[0]
+
+    def staged_proba(self, X: np.ndarray, ks: list[int]) -> list[np.ndarray]:
+        """Vote fractions for each k in `ks`, from one distance computation
+        and one sort; each equals `predict_proba` of a fit with that k."""
         if self.classes_ is None:
             raise ValueError("classifier is not fitted")
         X = self._check_predict_input(X, self._X.shape[1])
-        k = min(int(self.spec.params.get("k", 5)), self._X.shape[0])
+        n = self._X.shape[0]
+        ks = [min(int(k), n) for k in ks]
         d2 = self._sq[None, :] - 2.0 * (X @ self._X.T) + (X * X).sum(axis=1)[:, None]
         np.maximum(d2, 0.0, out=d2)
-        if k < self._X.shape[0]:
-            # Stable full sort keeps distance ties in training-row order.
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        else:
-            nearest = np.broadcast_to(np.arange(self._X.shape[0]), (X.shape[0], self._X.shape[0]))
-        votes = self._codes[nearest]
-        counts = np.zeros((X.shape[0], len(self.classes_)))
-        for c in range(len(self.classes_)):
-            counts[:, c] = (votes == c).sum(axis=1)
-        return counts / k
+        # Stable full sort keeps distance ties in training-row order.
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, : max(ks)]
+        # counts[:, j, c]: votes for class c among the j + 1 nearest rows.
+        votes = self._codes[nearest][:, :, None] == np.arange(len(self.classes_))
+        counts = np.cumsum(votes, axis=1)
+        return [counts[:, k - 1] / k for k in ks]

@@ -14,7 +14,7 @@ sums (variance), and the bins sit on the contiguous last axis that the
 prefix sums run along. The trees, and so the saved models, are
 byte-identical to a channel-last engine because every histogram cell sums
 its rows in row order and channel sums run left to right (numpy's order
-for a channel-last `sum(axis=-1)` below eight channels; `_chan_sum`
+for a channel-last `sum(axis=-1)` below eight channels; `chan_sum`
 defers to numpy itself from eight on).
 
 Only splittable frontier nodes (enough rows and, in gini mode, impure)
@@ -37,7 +37,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import BaseClassifier, ClassifierSpec, check_training_inputs, normalize_rows
+from .base import (
+    BaseClassifier,
+    ClassifierSpec,
+    chan_sum,
+    check_training_inputs,
+    normalize_rows,
+)
 
 DEFAULT_MAX_BINS = 64
 _GAIN_EPS = 1e-12
@@ -362,23 +368,11 @@ class _GrowState:
         return np.asarray([swy / sw if sw > 0 else 0.0])
 
 
-def _chan_sum(parts) -> np.ndarray:
-    """Sum over the channel axis in the order numpy's `sum(axis=-1)` uses on
-    a channel-last array: left to right below eight channels, numpy's own
-    pairwise blocks from eight on."""
-    if len(parts) >= 8:
-        return np.stack(list(parts), axis=-1).sum(axis=-1)
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
-
-
 def _score_stats(stats: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Purity score to maximize, plus the weight total; channel axis first."""
     if mode == "gini":
-        total = _chan_sum(stats)
-        sq = _chan_sum([s * s for s in stats])
+        total = chan_sum(stats)
+        sq = chan_sum([s * s for s in stats])
     else:
         total, swy = stats
         sq = swy * swy
@@ -403,7 +397,7 @@ def _find_splits(
     prefix sums over bins and the per-channel score arithmetic run along
     contiguous memory. In gini mode the bincount index is
     `class * cells + cell`, which leaves each cell's rows and their
-    summation order as they are; channel sums go through `_chan_sum`.
+    summation order as they are; channel sums go through `chan_sum`.
     Scores, and so the chosen splits and leaf values, are bit-identical to
     those of a channel-last layout.
     """

@@ -187,16 +187,15 @@ def _curve_difference(ranks_a: np.ndarray, ranks_b: np.ndarray, y: np.ndarray) -
 
     With ranks a permutation of 1..n, the misclassification-count
     difference at cutpoint k reduces to twice the difference of positive
-    counts among ranks <= k.
+    counts among ranks <= k. Cases are taken in the stable order of their
+    ranks, so ranks with ties (swapped pairs in the null) count as the
+    position-broken ranks `_first_ranks` would give them. All counts are
+    integers, so the statistic is exact.
     """
-    n = y.shape[0]
-    pos_at_rank_a = np.zeros(ranks_a.shape[:-1] + (n,))
-    pos_at_rank_b = np.zeros_like(pos_at_rank_a)
-    yb = np.broadcast_to(y.astype(np.float64), ranks_a.shape)
-    np.put_along_axis(pos_at_rank_a, ranks_a - 1, yb, axis=-1)
-    np.put_along_axis(pos_at_rank_b, ranks_b - 1, yb, axis=-1)
-    cum_a = np.cumsum(pos_at_rank_a, axis=-1)[..., :-1]
-    cum_b = np.cumsum(pos_at_rank_b, axis=-1)[..., :-1]
+    pos_a = y[np.argsort(ranks_a, axis=-1, kind="stable")]
+    pos_b = y[np.argsort(ranks_b, axis=-1, kind="stable")]
+    cum_a = np.cumsum(pos_a, axis=-1)[..., :-1]
+    cum_b = np.cumsum(pos_b, axis=-1)[..., :-1]
     return 2.0 * np.abs(cum_a - cum_b).sum(axis=-1)
 
 
@@ -219,16 +218,17 @@ def venkatraman_test(ps: PairedScores, permutations: int = 2000, seed: int = 0) 
         raise ValueError("permutation count must be >= 1")
     y = ps.y_true
     n = y.shape[0]
-    ranks_a = _first_ranks(ps.scores_a)
-    ranks_b = _first_ranks(ps.scores_b)
+    # 16-bit ranks make numpy's stable argsort a radix sort.
+    rank_type = np.int16 if n < 2**15 else np.int64
+    ranks_a = _first_ranks(ps.scores_a).astype(rank_type)
+    ranks_b = _first_ranks(ps.scores_b).astype(rank_type)
     observed = float(_curve_difference(ranks_a, ranks_b, y))
 
     rng = np.random.default_rng(seed)
     swap = rng.random((permutations, n)) < 0.5
     perm_a = np.where(swap, ranks_b, ranks_a)
     perm_b = np.where(swap, ranks_a, ranks_b)
-    # Re-rank so each permuted vector is again a permutation of 1..n.
-    perm_stats = _curve_difference(_first_ranks(perm_a), _first_ranks(perm_b), y)
+    perm_stats = _curve_difference(perm_a, perm_b, y)
     exceed = int(np.sum(perm_stats >= observed - 1e-12))
     p = (1.0 + exceed) / (permutations + 1.0)
     return VenkatramanResult(

@@ -99,7 +99,8 @@ def extract_stage(cfg: RunConfig, manifest: Manifest) -> None:
                 )
         for meta in manifest:
             assert meta.effective is not None
-            m = patch_count(backend, spec.seed, meta.file)
+            # Precomputed caches carry their own patch counts.
+            m = patch_count(backend, spec.seed, meta.file) if spec.kind == "synthetic" else None
             emb = extract(spec, meta.file, meta.category, meta.effective, patch_count=m)
             write_cache(emb, directory)
 
@@ -137,8 +138,21 @@ class FitResult:
     test_labels: np.ndarray
 
 
+# Backend name -> (train rows, train labels, test rows, test labels, test
+# slide ids) of the running train stage. Task tuples name a backend
+# instead of carrying its matrices, so a pool receives each backend's
+# data once per worker (through its initializer), not once per task.
+_stage_data: dict[str, tuple] = {}
+
+
+def _set_stage_data(data: dict[str, tuple]) -> None:
+    global _stage_data
+    _stage_data = data
+
+
 def _fit_one(args: tuple) -> FitResult:
-    backend_name, kind, rows_tr, y_tr, rows_te, y_te, ids_te, grid, cv_folds, cv_seed = args
+    backend_name, kind, grid, cv_folds, cv_seed = args
+    rows_tr, y_tr, rows_te, y_te, ids_te = _stage_data[backend_name]
     plan = CvPlan(n_folds=cv_folds, stratified=True, seed=cv_seed)
     cv = cross_validate(grid, rows_tr, y_tr, plan)
     model = build_classifier(cv.best_spec).fit(rows_tr, y_tr)
@@ -164,37 +178,36 @@ def train_evaluate_stage(
     cfg: RunConfig, designs: dict[str, DesignMatrix], tracker: Tracker | None = None
 ) -> dict[tuple[str, str], FitResult]:
     """Cross-validate, fit, and evaluate every (backend, classifier) pair."""
+    data: dict[str, tuple] = {}
     tasks = []
     for backend in cfg.backends:
-        dm = designs[backend.name]
-        train_dm, test_dm = split_design(dm)
-        y_tr = train_dm.labels.astype(np.int64)
-        y_te = test_dm.labels.astype(np.int64)
+        train_dm, test_dm = split_design(designs[backend.name])
+        data[backend.name] = (
+            train_dm.rows.astype(np.float64),
+            train_dm.labels.astype(np.int64),
+            test_dm.rows.astype(np.float64),
+            test_dm.labels.astype(np.int64),
+            list(test_dm.slide_ids),
+        )
         for kind in cfg.classifiers:
-            grid = cfg.classifier_grid(kind)
             tasks.append(
-                (
-                    backend.name,
-                    kind,
-                    train_dm.rows.astype(np.float64),
-                    y_tr,
-                    test_dm.rows.astype(np.float64),
-                    y_te,
-                    list(test_dm.slide_ids),
-                    grid,
-                    cfg.cv_folds,
-                    derive_seed(cfg.seed, "cv"),
-                )
+                (backend.name, kind, cfg.classifier_grid(kind), cfg.cv_folds, derive_seed(cfg.seed, "cv"))
             )
 
-    # Tree fits share one binning per fold matrix for this stage only;
-    # forked workers start inside the block with its still-empty cache.
-    with shared_bins():
-        if cfg.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                fitted = list(pool.map(_fit_one, tasks))
-        else:
-            fitted = [_fit_one(t) for t in tasks]
+    _set_stage_data(data)
+    try:
+        # Tree fits share one binning per fold matrix for this stage only;
+        # forked workers start inside the block with its still-empty cache.
+        with shared_bins():
+            if cfg.jobs > 1 and len(tasks) > 1:
+                with ProcessPoolExecutor(
+                    max_workers=cfg.jobs, initializer=_set_stage_data, initargs=(data,)
+                ) as pool:
+                    fitted = list(pool.map(_fit_one, tasks))
+            else:
+                fitted = [_fit_one(t) for t in tasks]
+    finally:
+        _set_stage_data({})
 
     results: dict[tuple[str, str], FitResult] = {}
     for res in fitted:

@@ -6,6 +6,7 @@ failure). The paper-shaped fixture run uses the production row counts
 widths, and must finish end to end inside ten minutes.
 """
 
+import dataclasses
 import json
 import math
 import struct
@@ -420,21 +421,24 @@ class TestDeterminismCriterion:
     def test_byte_identical_documents(self, tmp_path):
         def run_once(base: Path) -> Path:
             cfg = paper_config(base, sep=2.0, dims=(32, 48), jobs=1, seed=99)
-            cfg.backends = [
-                BackendConfig(
-                    name=b.name, kind="synthetic", dim=b.dim, class_separation=2.0,
-                    patch_count_min=4, patch_count_max=8,
-                )
-                for b in cfg.backends
-            ]
-            cfg.grids = {
-                "logistic_regression": {"l2": [1e-2], "max_iter": [200]},
-                "knn": {"k": [3]},
-                "decision_tree": {"max_depth": [4]},
-                "random_forest": {"n_estimators": [10]},
-                "gradient_boosting": {"n_estimators": [10], "learning_rate": [0.1]},
-                "adaboost": {"n_estimators": [10]},
-            }
+            cfg = dataclasses.replace(
+                cfg,
+                backends=[
+                    BackendConfig(
+                        name=b.name, kind="synthetic", dim=b.dim, class_separation=2.0,
+                        patch_count_min=4, patch_count_max=8,
+                    )
+                    for b in cfg.backends
+                ],
+                grids={
+                    "logistic_regression": {"l2": [1e-2], "max_iter": [200]},
+                    "knn": {"k": [3]},
+                    "decision_tree": {"max_depth": [4]},
+                    "random_forest": {"n_estimators": [10]},
+                    "gradient_boosting": {"n_estimators": [10], "learning_rate": [0.1]},
+                    "adaboost": {"n_estimators": [10]},
+                },
+            )
             return run_pipeline(cfg)
 
         out1 = run_once(tmp_path / "r1")

@@ -104,13 +104,16 @@ class TestCrossValidate:
 
     def test_staged_family_matches_independent_fits(self):
         # The staged-prefix path must give the same fold accuracies as
-        # fitting each ensemble size or tree depth from scratch. The depth
-        # grid is unsorted, holds None, and splits into two families.
+        # fitting each ensemble size, tree depth or neighbor count from
+        # scratch. The depth grid is unsorted, holds None, and splits into
+        # two families; the k grid is unsorted and reaches past the 56
+        # training rows of a fold.
         X, y = make_blobs([20, 25, 25], d=5, sep=1.5, seed=6)
         plan = CvPlan(seed=7)
         cases = [
             ("random_forest", {"n_estimators": [5, 10, 20]}),
             ("decision_tree", {"max_depth": [None, 2, 8, 4], "min_samples_leaf": [1, 3]}),
+            ("knn", {"k": [5, 1, 60, 3, 2, 80]}),
         ]
 
         from slidebench.learners import build_classifier
@@ -141,6 +144,21 @@ class TestCrossValidate:
         grid = default_grid("decision_tree", overrides={"max_depth": [2, None, 4]})
         cross_validate(grid, X, y, CvPlan(seed=7))
         assert depths == [None] * 5
+
+    def test_k_family_fits_once_per_fold(self, monkeypatch):
+        from slidebench.learners import KNearestNeighbor
+
+        ks = []
+        fit = KNearestNeighbor.fit
+
+        def counting_fit(model, X, y):
+            ks.append(model.spec.params["k"])
+            return fit(model, X, y)
+
+        monkeypatch.setattr(KNearestNeighbor, "fit", counting_fit)
+        X, y = make_blobs([20, 25, 25], d=5, sep=1.5, seed=6)
+        cross_validate(default_grid("knn"), X, y, CvPlan(seed=7))
+        assert ks == [21] * 5
 
     def test_fold_assignment_shared_across_specs(self):
         X, y = make_blobs([15, 15, 15], d=4, sep=2.0, seed=9)

@@ -58,6 +58,27 @@ class TestMeanAggregate:
             other = mean_aggregate(emb(data[perm]))
             assert np.abs(base.astype(np.float64) - other.astype(np.float64)).max() < 1e-5
 
+    @pytest.mark.parametrize(
+        "m, d, zero_column",
+        [(1, 5, True), (20_001, 1, False), (40, 1, True), (20_001, 3, True), (300, 160, True)],
+    )
+    def test_same_bytes_as_row_loop(self, m, d, zero_column):
+        # The float64 sum runs in patch order from +0.0, as a loop does. The
+        # second half of the rows cancels the first, so the mean is small
+        # next to the running sums and the rounding of any other summation
+        # order (numpy's pairwise sum, say) reaches the float32 result; an
+        # all -0.0 column must come out +0.0.
+        rng = np.random.default_rng(m + d)
+        data = (rng.standard_normal((m, d)) * 10.0 ** rng.integers(-6, 12, (m, d))).astype(np.float32)
+        data[m // 2 : 2 * (m // 2)] = -data[: m // 2]
+        if zero_column:
+            data[:, 0] = -0.0
+        acc = np.zeros(d)
+        for row in data:
+            acc += row.astype(np.float64)
+        expected = (acc / m).astype(np.float32)
+        assert mean_aggregate(emb(data)).tobytes() == expected.tobytes()
+
     def test_mean_within_min_max_per_coordinate(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

@@ -13,6 +13,7 @@ from slidebench.learners import (
     load_model,
     save_model,
 )
+from slidebench.learners.base import one_hot
 from slidebench.learners.linear import LogisticRegression, gradients, objective
 from slidebench.learners import trees
 from slidebench.learners.trees import bin_features, grow_tree, TreeParams
@@ -221,6 +222,42 @@ class TestLogisticRegression:
         w0 = build_classifier(ClassifierSpec("logistic_regression", params={"l2": 0.0})).fit(X, y)
         w1 = build_classifier(ClassifierSpec("logistic_regression", params={"l2": 1.0})).fit(X, y)
         assert np.linalg.norm(w1.W_) < np.linalg.norm(w0.W_)
+
+
+def _lr_data(n_classes: int):
+    rng = np.random.default_rng(30 + n_classes)
+    centers = 2.0 * rng.standard_normal((n_classes, 7))
+    y = np.arange(72) % n_classes
+    return centers[y] + rng.standard_normal((72, 7)), y
+
+
+# sha256 of W_, b_, n_iter_ (int64) and the objective at (W_, b_) of
+# logistic-regression fits on `_lr_data(n_classes)` with max_iter=300, keyed
+# by (n_classes, l2); recorded with the solver that still reduced each row
+# with `axis=1` numpy calls (numpy 2.4, x86-64). Nine classes take numpy's
+# pairwise row sums. The objective's bytes guard the loss, whose rounding
+# reaches the iterates only through the line search's accept test.
+GOLDEN_LR = {
+    (2, 0.0): "db7e92cbd4d0c7b5dd7f8c6640a5eecfe56e62030558677b192b368de6c60199",
+    (2, 0.01): "4e3de3cd24347142dd139299fef6ed36f89b3bcb1215417318bbbc4e95343bee",
+    (3, 0.0): "9c1d2503f7638c3722d09f321dc8799a5ebc3a258c7d49c915bb33df71e92817",
+    (3, 0.01): "9f160dc91e70a5506d509ca71b1d27d023f68eb077d1931839fcf194dec80dc9",
+    (9, 0.0): "a23ddab4f22a464288f78cd8e2424e1ba735b694c635f6a10efa179ec941147a",
+    (9, 0.01): "176f43771cf271e0059c0c70a433bb7588e431adf515f7b0b83a6fde517e7be9",
+}
+
+
+class TestLogisticRegressionGoldenBytes:
+    @pytest.mark.parametrize("n_classes, l2", sorted(GOLDEN_LR))
+    def test_fit_bytes_unchanged(self, n_classes, l2):
+        X, y = _lr_data(n_classes)
+        spec = ClassifierSpec("logistic_regression", {"l2": l2, "max_iter": 300})
+        m = build_classifier(spec).fit(X, y)
+        obj = objective(m.scaler_.transform(X), one_hot(y, n_classes), m.W_, m.b_, l2)
+        digest = hashlib.sha256(
+            m.W_.tobytes() + m.b_.tobytes() + np.int64(m.n_iter_).tobytes() + np.float64(obj).tobytes()
+        )
+        assert digest.hexdigest() == GOLDEN_LR[(n_classes, l2)]
 
 
 class TestDecisionTree:
@@ -476,6 +513,27 @@ class TestKNN:
         model = build_classifier(ClassifierSpec("knn", params={"k": 3})).fit(X, y)
         proba = model.predict_proba(np.asarray([[0.05]]))
         np.testing.assert_allclose(proba[0], [2 / 3, 1 / 3, 0.0], atol=1e-12)
+
+    def test_staged_proba_equals_separate_fits(self):
+        # Integer coordinates with duplicate rows: many exact distance ties,
+        # and every squared distance is exact, so the oracle below orders
+        # rows by (distance, row index) with no rounding.
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 3, (25, 2)).astype(np.float64)
+        X[10:15] = X[:5]
+        y = rng.integers(0, 3, 25)
+        Q = rng.integers(0, 3, (12, 2)).astype(np.float64)
+        n = len(y)
+        ks = [7, 1, n, 2, n + 3]
+        staged = build_classifier(ClassifierSpec("knn", {"k": n + 3})).fit(X, y).staged_proba(Q, ks)
+        for k, proba in zip(ks, staged):
+            single = build_classifier(ClassifierSpec("knn", {"k": k})).fit(X, y).predict_proba(Q)
+            assert proba.tobytes() == single.tobytes(), k
+            kk = min(k, n)
+            for q, row in zip(Q, proba):
+                dist = ((X - q) ** 2).sum(axis=1)
+                nearest = sorted(range(n), key=lambda j: (dist[j], j))[:kk]
+                np.testing.assert_array_equal(row, np.bincount(y[nearest], minlength=3) / kk)
 
 
 class TestNaiveBayes:

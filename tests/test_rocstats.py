@@ -253,6 +253,38 @@ class TestVenkatraman:
         rate = rejections / sims
         assert 0.03 <= rate <= 0.07
 
+    # (roc_difference, p) recorded with the null that re-ranked every
+    # permutation through `_first_ranks` and scattered the labels into
+    # rank order (numpy 2.4, x86-64).
+    GOLDEN = {
+        "tied": (0.03666666666666667, 0.7744510978043913),
+        "n2": (0.5, 0.47058823529411764),
+        "n32767": (0.0014863716525642674, 1.0),
+        "n32773": (0.0014788316371648971, 0.75),
+    }
+
+    @staticmethod
+    def golden_cases():
+        rng = np.random.default_rng(40)
+        n = 60
+        y = rng.random(n) < 0.4
+        a = np.round(rng.standard_normal(n) + y, 1)
+        b = np.round(rng.standard_normal(n) + 0.5 * y, 1)
+        yield "tied", y, a, b, 500
+        yield "n2", np.array([True, False]), np.array([0.7, 0.3]), np.array([0.3, 0.7]), 50
+        # The largest n with 16-bit ranks, and one past it.
+        for n in (2**15 - 1, 2**15 + 5):
+            y = rng.random(n) < 0.3
+            yield f"n{n}", y, rng.standard_normal(n) + y, np.round(rng.standard_normal(n) + y, 2), 3
+
+    def test_golden_values_unchanged(self):
+        seen = []
+        for name, y, a, b, permutations in self.golden_cases():
+            res = venkatraman_test(PairedScores(y, a, b), permutations=permutations, seed=11)
+            assert (res.roc_difference, res.p) == self.GOLDEN[name], name
+            seen.append(name)
+        assert seen == list(self.GOLDEN)
+
     def test_detects_shape_difference(self):
         # Same AUC but different curve shapes should be detectable.
         rng = np.random.default_rng(14)

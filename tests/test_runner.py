@@ -1,5 +1,6 @@
 """Pipeline orchestration: stages, comparison, learning curve, CLI."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -136,8 +137,7 @@ class TestRunPipeline:
         assert {"ingest", "extract", "aggregate", "train", "evaluate"} <= phases
 
     def test_missing_manifest_fails_before_compute(self, tmp_path):
-        cfg = small_config(tmp_path)
-        cfg.manifest = str(tmp_path / "absent.csv")
+        cfg = dataclasses.replace(small_config(tmp_path), manifest=str(tmp_path / "absent.csv"))
         with pytest.raises(StageError, match=r"\[ingest\]"):
             run_pipeline(cfg)
         meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
@@ -315,6 +315,40 @@ class TestConfig:
         with pytest.raises(ConfigError, match="grids.knn"):
             load_config(path)
 
+    def test_fields_cannot_be_assigned(self, tmp_path):
+        cfg = small_config(tmp_path)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.grids = {"naive_bayes": {"var_floor_ratio": [-1.0]}}
+
+    def test_replace_validates_again(self, tmp_path):
+        cfg = small_config(tmp_path)
+        with pytest.raises(ConfigError, match="var_floor_ratio must be >= 0"):
+            dataclasses.replace(cfg, grids={"naive_bayes": {"var_floor_ratio": [-1.0]}})
+
+
+class TestTrainStageTasks:
+    def test_tasks_carry_no_matrices(self, tmp_path, monkeypatch):
+        # Each backend's matrices reach the fits once, as stage data; a task
+        # names its backend, so a pool pickles no ndarray per task.
+        from slidebench import runner
+
+        tasks = []
+        fit_one = runner._fit_one
+
+        def recording_fit_one(args):
+            tasks.append(args)
+            return fit_one(args)
+
+        monkeypatch.setattr(runner, "_fit_one", recording_fit_one)
+        cfg = small_config(tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn")
+        run_pipeline(cfg)
+        assert [t[:2] for t in tasks] == [
+            (b, k) for b in ("bk0", "bk1") for k in ("knn", "naive_bayes")
+        ]
+        for args in tasks:
+            assert not any(isinstance(a, np.ndarray) for a in args)
+        assert runner._stage_data == {}
+
 
 class TestCli:
     def run_cli(self, *args):
@@ -353,7 +387,7 @@ class TestCli:
 
     def test_stage_tagged_error(self, tmp_path):
         cfg = small_config(tmp_path, seps=(1.2,), dims=(16,))
-        cfg.manifest = str(tmp_path / "gone.csv")
+        cfg = dataclasses.replace(cfg, manifest=str(tmp_path / "gone.csv"))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()))
         res = self.run_cli("run", "--config", str(path))
