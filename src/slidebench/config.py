@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from .embeddings import BACKEND_KINDS, BackendSpec
 from .learners import KINDS, ClassifierSpec, default_grid
+from .manifest import is_path_component
 
 
 class ConfigError(ValueError):
@@ -31,6 +34,8 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("backend name must be non-empty")
+        if not is_path_component(self.name):
+            raise ConfigError(f"backend name {self.name!r} is not a plain name")
         if self.kind not in BACKEND_KINDS:
             raise ConfigError(f"unknown backend kind {self.kind!r}")
         if self.dim < 1:
@@ -57,27 +62,31 @@ def derive_seed(run_seed: int, tag: str) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run configuration. Frozen, so every field goes through
-    `__post_init__`: derive a changed config with `dataclasses.replace`."""
+    """A validated run configuration. Frozen, with tuples and read-only
+    mappings for its containers, so every value goes through
+    `__post_init__`: derive a changed config with `dataclasses.replace`.
+    Lists and dicts are accepted and stored in those forms."""
 
     manifest: str
     out_dir: str
     cache_dir: str
     seed: int
-    backends: list[BackendConfig]
+    backends: tuple[BackendConfig, ...]
     delimiter: str = ","
-    classifiers: list[str] = field(default_factory=lambda: list(KINDS))
-    grids: dict[str, dict[str, list]] = field(default_factory=dict)
+    classifiers: tuple[str, ...] = KINDS
+    grids: Mapping[str, Mapping[str, tuple]] = field(default_factory=dict)
     cv_folds: int = 5
     selected_classifier: str = "logistic_regression"
     venkatraman_permutations: int = 2000
-    learning_curve_sizes: list[int] = field(default_factory=list)
+    learning_curve_sizes: tuple[int, ...] = ()
     learning_curve_repeats: int = 5
     tracker_jsonl: str = "events.jsonl"
     webhook_url: str | None = None
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("backends", "classifiers", "learning_curve_sizes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.seed is None:
             raise ConfigError("seed is mandatory")
         if not self.backends:
@@ -109,17 +118,22 @@ class RunConfig:
         self._check_grids()
 
     def _check_grids(self) -> None:
-        """Reject, before any stage runs, grids the train stage would fail on."""
-        if not isinstance(self.grids, dict):
+        """Reject, before any stage runs, grids the train stage would fail on,
+        and store the grids read-only."""
+        if not isinstance(self.grids, Mapping):
             raise ConfigError("grids must map classifier kinds to parameter axes")
+        frozen = {}
         for kind, axes in self.grids.items():
             if kind not in KINDS:
                 raise ConfigError(f"grids: unknown classifier kind {kind!r}")
-            if not isinstance(axes, dict):
+            if not isinstance(axes, Mapping):
                 raise ConfigError(f"grids.{kind} must map parameter names to value lists")
             for name, values in axes.items():
-                if not isinstance(values, list) or not values:
+                if not isinstance(values, (list, tuple)) or not values:
                     raise ConfigError(f"grids.{kind}.{name} must be a non-empty list")
+            frozen[kind] = MappingProxyType({name: tuple(values) for name, values in axes.items()})
+        object.__setattr__(self, "grids", MappingProxyType(frozen))
+        for kind in self.grids:
             try:
                 self.classifier_grid(kind)
             except (TypeError, ValueError) as exc:
@@ -151,7 +165,7 @@ class RunConfig:
                 for b in self.backends
             ],
             "classifiers": list(self.classifiers),
-            "grids": self.grids,
+            "grids": {kind: {n: list(v) for n, v in axes.items()} for kind, axes in self.grids.items()},
             "cv_folds": self.cv_folds,
             "selected_classifier": self.selected_classifier,
             "venkatraman_permutations": self.venkatraman_permutations,

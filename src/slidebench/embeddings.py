@@ -9,11 +9,17 @@ Cache format (one `.embc` file per slide, little-endian throughout):
 The format is bit-exact so caches can be diffed across machines and the
 real foundation-model extractors can stay fully decoupled: any process
 that writes this format is a valid backend.
+
+A cache file is only ever replaced, never rewritten in place: `write_cache`
+writes `<slide>.embc.tmp` and renames it over the final name. The extract
+stage relies on that when it hard-links a validated precomputed cache into
+the run's cache directory, since the link shares its inode with the source.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -167,8 +173,18 @@ def cache_path(directory: str | Path, slide_id: str) -> Path:
     return Path(directory) / f"{slide_id}{CACHE_SUFFIX}"
 
 
+def temp_path(path: Path) -> Path:
+    """Where a cache file is staged before it is renamed into place."""
+    return path.with_name(path.name + ".tmp")
+
+
 def write_cache(emb: EmbeddingMatrix, directory: str | Path) -> Path:
-    """Write one slide's embeddings; returns the file path."""
+    """Write one slide's embeddings; returns the file path.
+
+    The bytes go to a fresh temp file that then replaces the final name, so
+    a file already there (possibly a hard link to a precomputed source) is
+    never opened for writing.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     sid = emb.slide_id.encode("utf-8")
@@ -186,10 +202,14 @@ def write_cache(emb: EmbeddingMatrix, directory: str | Path) -> Path:
         + struct.pack("<II", emb.m, emb.d)
     )
     path = cache_path(directory, emb.slide_id)
-    with open(path, "wb") as fh:
+    tmp = temp_path(path)
+    # A killed run may have left the temp name behind, even as a link.
+    tmp.unlink(missing_ok=True)
+    with open(tmp, "xb") as fh:
         fh.write(header)
         fh.write(payload)
         fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    os.replace(tmp, path)
     return path
 
 

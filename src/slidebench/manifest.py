@@ -63,6 +63,13 @@ class SlideMeta:
 Manifest = list[SlideMeta]
 
 
+def is_path_component(name: str) -> bool:
+    """True when `name` can stand as one entry of a directory: not `.` or
+    `..`, and free of path separators and NUL. Slide file names and backend
+    names become such entries in the cache and output directories."""
+    return name not in (".", "..") and not any(c in name for c in "/\\\0")
+
+
 def parse_manifest(source: str | Path | TextIO, delimiter: str = ",") -> Manifest:
     """Parse a delimited manifest into a list of SlideMeta.
 
@@ -104,6 +111,8 @@ def parse_manifest(source: str | Path | TextIO, delimiter: str = ",") -> Manifes
         file_name = cell("file")
         if not file_name:
             raise ManifestError(f"row {row_no}: empty file name")
+        if not is_path_component(file_name):
+            raise ManifestError(f"row {row_no}: file name {file_name!r} is not a plain name")
         if file_name in seen_files:
             raise ManifestError(
                 f"row {row_no}: duplicate file name {file_name!r}"

@@ -9,6 +9,7 @@ report and comparison document is byte-reproducible for a fixed config.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 from .categories import CLASSIFIED_CATEGORIES
 from .config import BackendConfig, RunConfig, derive_seed
 from .design import DesignMatrix, build_design, load_design, save_design, split_design
-from .embeddings import extract, scan_cache, slide_rng, write_cache
+from .embeddings import cache_path, extract, scan_cache, slide_rng, temp_path, write_cache
 from .learners import (
     KIND_LABELS,
     TABLE_ORDER,
@@ -45,15 +46,6 @@ class StageError(RuntimeError):
 
     def __str__(self) -> str:
         return f"[{self.stage}] {super().__str__()}"
-
-
-def _stage_guard(stage: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, str(exc)) from exc
 
 
 def _write_json(path: str | Path, obj) -> Path:
@@ -85,7 +77,13 @@ def ingest_stage(cfg: RunConfig) -> Manifest:
 
 
 def extract_stage(cfg: RunConfig, manifest: Manifest) -> None:
-    """Produce and cache embeddings for every backend and slide."""
+    """Produce and cache embeddings for every backend and slide.
+
+    A precomputed cache is read and validated against the manifest, then
+    hard-linked into the cache directory: a cache `read_cache` accepts
+    re-encodes to the same bytes, so a link holds exactly what a copy would.
+    Where the filesystem refuses the link, the cache is written out instead.
+    """
     for backend in cfg.backends:
         spec = backend.spec(cfg.seed)
         directory = Path(cfg.cache_dir) / backend.name
@@ -97,12 +95,32 @@ def extract_stage(cfg: RunConfig, manifest: Manifest) -> None:
                     f"backend {backend.name!r}: {len(report.missing)} slide(s) missing "
                     f"from {spec.source_dir}: {', '.join(report.missing[:10])}",
                 )
+            directory.mkdir(parents=True, exist_ok=True)
         for meta in manifest:
             assert meta.effective is not None
             # Precomputed caches carry their own patch counts.
             m = patch_count(backend, spec.seed, meta.file) if spec.kind == "synthetic" else None
             emb = extract(spec, meta.file, meta.category, meta.effective, patch_count=m)
-            write_cache(emb, directory)
+            source = cache_path(spec.source_dir, meta.file) if spec.kind == "precomputed" else None
+            if source is None or not _link_cache(source, directory):
+                write_cache(emb, directory)
+
+
+def _link_cache(source: Path, directory: Path) -> bool:
+    """Hard-link `source` into `directory` under its own name; False when the
+    filesystem cannot link it (another device, no link support, EMLINK)."""
+    dst = directory / source.name
+    tmp = temp_path(dst)
+    tmp.unlink(missing_ok=True)
+    try:
+        os.link(source, tmp)
+    except OSError:
+        return False
+    os.replace(tmp, dst)
+    # rename() leaves both names alone when they already share an inode,
+    # as on a rerun that links the same source again.
+    tmp.unlink(missing_ok=True)
+    return True
 
 
 def patch_count(backend: BackendConfig, spec_seed: int, slide_id: str) -> int:
@@ -563,35 +581,57 @@ def run_pipeline(cfg: RunConfig) -> Path:
 
     webhook = WebhookSink(cfg.webhook_url) if cfg.webhook_url else None
     tracker = Tracker(run_id, out / cfg.tracker_jsonl, webhook=webhook)
+    stage = "ingest"
+
+    def run(name: str, fn, *args):
+        nonlocal stage
+        stage = name
+        try:
+            return fn(*args)
+        except StageError:
+            raise
+        except Exception as exc:
+            raise StageError(name, str(exc)) from exc
 
     try:
-        manifest = _stage_guard("ingest", ingest_stage, cfg)
+        manifest = run("ingest", ingest_stage, cfg)
         counts = category_counts(manifest)
         tracker.track("ingest", "slides_total", len(manifest))
         for cat in CLASSIFIED_CATEGORIES:
             tracker.track("ingest", f"slides_{cat.to_text()}", counts[cat])
 
-        _stage_guard("extract", extract_stage, cfg, manifest)
+        run("extract", extract_stage, cfg, manifest)
         tracker.track("extract", "backends_cached", len(cfg.backends))
 
-        designs = _stage_guard("aggregate", aggregate_stage, cfg, manifest)
+        designs = run("aggregate", aggregate_stage, cfg, manifest)
         for backend in cfg.backends:
             tracker.track("aggregate", f"{backend.name}/design_rows", designs[backend.name].n)
 
-        results = _stage_guard("train", train_evaluate_stage, cfg, designs, tracker)
+        results = run("train", train_evaluate_stage, cfg, designs, tracker)
 
         _write_json(out / "accuracy_table.json", accuracy_table(cfg, results))
         _write_json(out / "f1_table.json", f1_table(cfg, results))
 
-        comparison = _stage_guard("compare", compare_stage, cfg)
+        comparison = run("compare", compare_stage, cfg)
         if comparison is not None:
             tracker.track("compare", "paired_ttest_p", comparison["paired_ttest"]["p"])
 
-        _stage_guard("plot", plot_stage, cfg)
-    except StageError as exc:
+        run("plot", plot_stage, cfg)
+    except BaseException as exc:
+        # Any exception marks the run failed, KeyboardInterrupt included. For
+        # a StageError, record the error that caused it.
+        error = exc
+        if isinstance(exc, StageError):
+            stage, error = exc.stage, exc.__cause__ or exc
         _write_json(
             meta_path,
-            {"run_id": run_id, "status": "failed", "stage": exc.stage, "config": cfg.to_dict()},
+            {
+                "run_id": run_id,
+                "status": "failed",
+                "stage": stage,
+                "error": type(error).__name__,
+                "config": cfg.to_dict(),
+            },
         )
         raise
 

@@ -58,6 +58,17 @@ class TestParse:
         with pytest.raises(ManifestError, match="duplicate file name"):
             parse_text(manifest_csv([simple_row("s1"), simple_row("s1")]))
 
+    @pytest.mark.parametrize("name", ["a/b", "..", ".", "a\\b", "a\0b", "../escape"])
+    def test_file_name_must_be_plain(self, name):
+        # File names become cache and source paths: `<dir>/<file>.embc`.
+        text = manifest_csv([simple_row("s1"), simple_row("s2").replace(",s2,", f",{name},")])
+        with pytest.raises(ManifestError, match=r"row 2: file name .* is not a plain name"):
+            parse_text(text)
+
+    def test_plain_file_names_accepted(self):
+        m = parse_text(manifest_csv([simple_row("slide_0000"), simple_row("a.b-c..d")]))
+        assert [r.file for r in m] == ["slide_0000", "a.b-c..d"]
+
     def test_unparseable_score(self):
         with pytest.raises(ManifestError, match="unparseable DIAG_SCORE"):
             parse_text(manifest_csv([simple_row("s1", score="high")]))

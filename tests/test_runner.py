@@ -1,8 +1,10 @@
 """Pipeline orchestration: stages, comparison, learning curve, CLI."""
 
 import dataclasses
+import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 
 import slidebench
 from slidebench.categories import Category, Subset
-from slidebench.config import BackendConfig, ConfigError, RunConfig, load_config
+from slidebench.config import BackendConfig, ConfigError, RunConfig, config_from_dict, load_config
+from slidebench.embeddings import BackendSpec, cache_path, extract, write_cache
 from slidebench.fixture import paper_manifest
 from slidebench.learners import ClassifierSpec
 from slidebench.manifest import write_manifest
@@ -143,7 +146,119 @@ class TestRunPipeline:
         meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
         assert meta["status"] == "failed"
         assert meta["stage"] == "ingest"
+        assert meta["error"] == "StageError"
         assert not (Path(cfg.out_dir) / "accuracy_table.json").exists()
+
+    def test_completed_meta_records_status_and_config_only(self, completed_run):
+        cfg, out = completed_run
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta == {"run_id": cfg.run_id(), "status": "complete", "config": cfg.to_dict()}
+
+    def test_interrupt_marks_run_failed(self, tmp_path, monkeypatch):
+        from slidebench import runner
+
+        def interrupted(cfg, manifest):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner, "aggregate_stage", interrupted)
+        cfg = small_config(tmp_path, classifiers=["knn"], selected_classifier="knn")
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(cfg)
+        meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
+        assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "aggregate", "KeyboardInterrupt")
+
+
+def precomputed_config(tmp_path: Path) -> tuple[RunConfig, list[Path]]:
+    """A one-backend precomputed run over source caches written under
+    `tmp_path/source`; returns the config and the source files."""
+    cfg = small_config(tmp_path, seps=(1.2,), dims=(16,), classifiers=["knn", "naive_bayes"],
+                       selected_classifier="knn")
+    source = tmp_path / "source"
+    spec = BackendSpec("synthetic", 16, seed=3, class_separation=1.2)
+    files = [
+        write_cache(extract(spec, meta.file, meta.category, meta.effective, patch_count=5), source)
+        for meta in ingest_stage(cfg)
+    ]
+    backend = BackendConfig(name="pre", kind="precomputed", dim=16, source_dir=str(source))
+    return dataclasses.replace(cfg, backends=[backend]), files
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestPrecomputedPipeline:
+    def test_caches_are_links_to_sources(self, tmp_path):
+        cfg, sources = precomputed_config(tmp_path)
+        before = {p: p.read_bytes() for p in sources}
+        run_pipeline(cfg)
+        cache = Path(cfg.cache_dir) / "pre"
+        assert sorted(p.name for p in cache.iterdir()) == sorted(p.name for p in sources)
+        for src in sources:
+            assert (cache / src.name).read_bytes() == before[src]
+            assert os.path.samefile(cache / src.name, src)
+
+    def test_copy_when_link_fails(self, tmp_path, monkeypatch):
+        cfg, sources = precomputed_config(tmp_path)
+        out, cache = Path(cfg.out_dir), Path(cfg.cache_dir) / "pre"
+        run_pipeline(cfg)
+        linked = tree_bytes(out)
+        shutil.rmtree(out)
+        shutil.rmtree(cfg.cache_dir)
+
+        def cross_device(src, dst, **kwargs):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setattr(os, "link", cross_device)
+        run_pipeline(cfg)
+        for src in sources:
+            assert (cache / src.name).read_bytes() == src.read_bytes()
+            assert not os.path.samefile(cache / src.name, src)
+        copied = tree_bytes(out)
+        del linked[cfg.tracker_jsonl], copied[cfg.tracker_jsonl]
+        assert copied == linked
+
+    def test_synthetic_rerun_leaves_sources_alone(self, tmp_path):
+        cfg, sources = precomputed_config(tmp_path)
+        before = {p: p.read_bytes() for p in sources}
+        run_pipeline(cfg)
+        cache = Path(cfg.cache_dir) / "pre"
+        # A killed run may leave a temp link to a source behind.
+        os.link(sources[0], cache / f"{sources[0].name}.tmp")
+        synthetic = BackendConfig(name="pre", kind="synthetic", dim=16, patch_count_min=4, patch_count_max=8)
+        run_pipeline(dataclasses.replace(cfg, backends=[synthetic]))
+        assert {p: p.read_bytes() for p in sources} == before
+        assert not os.path.samefile(cache / sources[0].name, sources[0])
+        assert not list(cache.glob("*.tmp"))
+
+    def test_corrupt_source_fails_extract(self, tmp_path):
+        cfg, sources = precomputed_config(tmp_path)
+        blob = bytearray(sources[3].read_bytes())
+        blob[-8] ^= 0x01  # a payload byte; the CRC is the last four
+        sources[3].write_bytes(bytes(blob))
+        with pytest.raises(StageError, match=r"\[extract\].*checksum mismatch"):
+            run_pipeline(cfg)
+        meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
+        assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "extract", "CacheFormatError")
+
+    def test_leftover_temp_files(self, tmp_path):
+        cfg, sources = precomputed_config(tmp_path)
+        cache = Path(cfg.cache_dir) / "pre"
+        cache.mkdir(parents=True)
+        (cache / f"{sources[0].name}.tmp").write_bytes(b"partial")
+        os.link(sources[1], cache / f"{sources[1].name}.tmp")
+        run_pipeline(cfg)
+        assert json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())["status"] == "complete"
+        assert not list(cache.glob("*.tmp"))
+        assert all(os.path.samefile(cache / src.name, src) for src in sources)
+
+    def test_rerun_into_linked_cache(self, tmp_path):
+        # rename() is a no-op between two links to one inode; no temp name stays.
+        cfg, sources = precomputed_config(tmp_path)
+        run_pipeline(cfg)
+        run_pipeline(cfg)
+        cache = Path(cfg.cache_dir) / "pre"
+        assert sorted(p.name for p in cache.iterdir()) == sorted(p.name for p in sources)
 
 
 class TestDeterminism:
@@ -314,6 +429,46 @@ class TestConfig:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match="grids.knn"):
             load_config(path)
+
+    @pytest.mark.parametrize("name", ["a/b", "a\\b", "a\0b", ".", ".."])
+    def test_backend_name_must_be_plain(self, name):
+        # Backend names become directories: `<cache_dir>/<name>/`.
+        with pytest.raises(ConfigError, match="is not a plain name"):
+            BackendConfig(name=name, kind="synthetic", dim=8)
+
+    def test_workload_style_names_accepted(self):
+        assert BackendConfig(name="uni-pre", kind="synthetic", dim=8).name == "uni-pre"
+
+    def test_containers_cannot_be_mutated(self, tmp_path):
+        cfg = small_config(tmp_path, learning_curve_sizes=[20, 40])
+        with pytest.raises(AttributeError):
+            cfg.classifiers.append("bogus")
+        with pytest.raises(AttributeError):
+            cfg.backends.append(cfg.backends[0])
+        with pytest.raises(AttributeError):
+            cfg.learning_curve_sizes.append(10)
+        with pytest.raises(TypeError):
+            cfg.grids["naive_bayes"] = {"var_floor_ratio": [-1.0]}
+        with pytest.raises(TypeError):
+            cfg.grids["knn"]["k"] = [0]
+        with pytest.raises(AttributeError):
+            cfg.grids["knn"]["k"].append(0)
+
+    def test_caller_containers_are_copied(self, tmp_path):
+        grids = {"knn": {"k": [3]}}
+        classifiers = ["knn", "naive_bayes"]
+        cfg = small_config(tmp_path, grids=grids, classifiers=classifiers, selected_classifier="knn")
+        grids["knn"]["k"].append(0)
+        grids["decison_tree"] = {}
+        classifiers.append("bogus")
+        assert cfg.grids == {"knn": {"k": (3,)}}
+        assert cfg.classifiers == ("knn", "naive_bayes")
+
+    def test_to_dict_emits_the_loaded_json(self, tmp_path):
+        raw = json.loads(json.dumps(small_config(tmp_path, learning_curve_sizes=[20, 40]).to_dict()))
+        cfg = config_from_dict(raw)
+        assert cfg.to_dict() == raw  # lists stay lists: [3] != (3,)
+        assert dataclasses.replace(cfg, seed=cfg.seed).to_dict() == raw
 
     def test_fields_cannot_be_assigned(self, tmp_path):
         cfg = small_config(tmp_path)
