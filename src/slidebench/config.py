@@ -86,7 +86,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("backends", "classifiers", "learning_curve_sizes"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes)):
+                # tuple("knn") would silently split it into characters.
+                raise ConfigError(f"{name} must be a list, not a string")
+            object.__setattr__(self, name, tuple(value))
         if self.seed is None:
             raise ConfigError("seed is mandatory")
         if not self.backends:

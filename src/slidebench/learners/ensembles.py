@@ -132,6 +132,7 @@ class GradientBoosting(BaseClassifier):
         F = np.zeros((n, k))
         self.rounds_ = []
         self.train_loss_ = []
+        root: dict = {}  # every tree grows from all rows of `table`
         for _ in range(n_rounds):
             P = softmax(F)
             self.train_loss_.append(_cross_entropy(P, codes))
@@ -139,7 +140,7 @@ class GradientBoosting(BaseClassifier):
             for c in range(k):
                 residual = Y[:, c] - P[:, c]
                 hessian = P[:, c] * (1.0 - P[:, c])
-                tree, leaf_of_row = grow_tree(table, "variance", residual, params)
+                tree, leaf_of_row = grow_tree(table, "variance", residual, params, root=root)
                 # Damped Newton step per leaf.
                 num = np.bincount(leaf_of_row, weights=residual, minlength=tree.n_nodes)
                 den = np.bincount(leaf_of_row, weights=hessian, minlength=tree.n_nodes)
@@ -218,9 +219,10 @@ class AdaBoost(BaseClassifier):
         w = np.full(n, 1.0 / n)
         self.trees_ = []
         self.alphas_ = []
+        root: dict = {}  # every tree grows from all rows of `table`
         for _ in range(n_estimators):
             tree, leaf_of_row = grow_tree(
-                table, "gini", codes, params, n_classes=k, sample_weight=w
+                table, "gini", codes, params, n_classes=k, sample_weight=w, root=root
             )
             pred = np.argmax(tree.value[leaf_of_row], axis=1)
             miss = pred != codes

@@ -21,6 +21,31 @@ Only splittable frontier nodes (enough rows and, in gini mode, impure)
 get histograms; per-split feature subsets are still drawn for the whole
 frontier, so the RNG stream is the same whichever nodes can split.
 
+Each level does one histogram pass per channel and skips what cannot
+change a split; each shortcut is exact, not approximate:
+
+- When the whole frontier fits the cell budget (always at benchmark and
+  paper sizes) rows are histogrammed in row order without sorting them
+  by node: each cell belongs to one node, so it still sums its rows in
+  row order.
+- Denominators are `total if total > 0 else 1`. With integer weights
+  (unit weights, bootstrap counts) no total lies strictly between 0 and
+  1, so `max(total, 1)` gives the same values; float weights keep the
+  conditional form, as a side's total made by subtraction can be 0 while
+  its squared sums are not.
+- A boundary at or past a feature's last bin leaves no row on the right,
+  so the leaf-size test (`min_samples_leaf` >= 1) rules it out and no
+  per-feature bin mask is needed.
+- The leaf-size test counts rows. With unit weights the weight totals
+  are the row counts, and with integer weights >= 1 and
+  `min_samples_leaf` = 1 a side holds a row exactly when its weight total
+  is >= 1; both reuse the weight channel instead of a row-count histogram.
+- Every tree of a boosting fit starts from all rows of one table, so its
+  depth-0 histogram index, leaf-size mask and, with unit weights, weight
+  channel prefix sums are the same for each tree; the fit passes a dict
+  (`grow_tree(..., root=...)`) that keeps them. Only depth 0 uses it: a
+  later frontier of one node holds only some of the rows.
+
 Binning a training matrix is shared inside a `shared_bins()` block: there
 `bin_features` returns the same read-only `BinTable` for every call on an
 equal matrix (same shape, `max_bins` and float64 bytes), so the trees of
@@ -226,41 +251,58 @@ def grow_tree(
     sample_weight: np.ndarray | None = None,
     rows: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
+    *,
+    root: dict | None = None,
 ) -> tuple[FittedTree, np.ndarray]:
     """Grow one tree; returns it plus the leaf id of every training row.
 
     mode "gini": y holds class codes, leaf values are weighted class
     distributions. mode "variance": y holds real targets, leaf values are
     weighted means (single column).
+
+    `root` is a dict that the fits of one model share to reuse the
+    depth-0 work that depends on the rows alone. It is only valid across
+    calls on the same table with all rows (`rows` None), all features, the
+    same mode and params, and in gini mode the same `y`.
     """
     if mode not in ("gini", "variance"):
         raise ValueError(f"unknown tree mode {mode!r}")
+    if params.min_samples_leaf < 1:
+        # The split search relies on it: a boundary at or past a feature's
+        # last bin leaves the right side empty, which only this rules out.
+        raise ValueError("min_samples_leaf must be >= 1")
     n_total, d = table.codes.shape
-    if rows is None:
-        rows = np.arange(n_total, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
     weighted = sample_weight is not None
-    w = np.ones(rows.shape[0]) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    if w.shape != rows.shape:
+    n_rows = n_total if rows is None else np.shape(rows)[0]
+    w = np.ones(n_rows) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    if w.shape != (n_rows,):
         raise ValueError("sample_weight must align with rows")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
 
     if mode == "gini":
         if n_classes < 2:
             raise ValueError("gini mode needs n_classes >= 2")
-        target = np.asarray(y, dtype=np.int64)[rows]
+        target = np.asarray(y, dtype=np.int64)
         n_chan = n_classes
     else:
-        target = np.asarray(y, dtype=np.float64)[rows]
+        target = np.asarray(y, dtype=np.float64)
         n_chan = 2
+    if rows is not None:
+        target = target[rows]
+    elif target.shape[0] != n_total:
+        raise ValueError("y must hold one entry per table row")
 
     k_feats = d if params.max_features is None else min(params.max_features, d)
     if k_feats < d and rng is None:
         raise ValueError("feature subsampling requires an RNG")
+    if k_feats < d or rows is not None:
+        root = None
 
-    state = _GrowState(table, mode, target, w, weighted, n_chan, rows)
+    state = _GrowState(table, mode, target, w, weighted, n_chan, rows, params.min_samples_leaf)
     store = _NodeStore(n_classes if mode == "gini" else 1)
     root_id = store.add(state.node_value(state.totals_all()))
-    node_of_row = np.full(rows.shape[0], root_id, dtype=np.int64)
+    node_of_row = np.full(n_rows, root_id, dtype=np.int64)
     # Frontier nodes always occupy a consecutive id range at the top of the
     # store (children are appended in order), so slot = node id - start.
     front_start, n_front = root_id, 1
@@ -282,6 +324,7 @@ def grow_tree(
         if not splittable.any():
             break
 
+        feats = None  # all features
         if k_feats < d:
             # Drawn for the whole frontier: the stream does not depend on
             # which nodes can split.
@@ -289,24 +332,28 @@ def grow_tree(
             noise = rng.random((n_front, d))
             part = np.argpartition(noise, k_feats - 1, axis=1)[:, :k_feats]
             feats = np.sort(part, axis=1)
-        else:
-            feats = np.broadcast_to(np.arange(d, dtype=np.int64), (n_front, d))
 
         # Only splittable nodes and their rows reach the histogram passes.
-        nodes = np.flatnonzero(splittable)
-        keep = splittable[slots]
-        rank = np.cumsum(splittable) - 1
-        splits = _find_splits(
-            state, counts[nodes], totals[nodes], act[keep], rank[slots[keep]], feats[nodes],
-            params.min_samples_leaf, max_b,
-        )
+        if splittable.all():
+            nodes = None
+            splits = _find_splits(
+                state, counts, totals, act, slots, feats, max_b, root if depth == 0 else None
+            )
+        else:
+            nodes = np.flatnonzero(splittable)
+            keep = splittable[slots]
+            rank = np.cumsum(splittable) - 1
+            splits = _find_splits(
+                state, counts[nodes], totals[nodes], act[keep], rank[slots[keep]],
+                None if feats is None else feats[nodes], max_b, None,
+            )
 
         n_children = 0
         child_map = np.full((n_front, 2), -1, dtype=np.int64)
         split_feat = np.full(n_front, -1, dtype=np.int64)
         split_bin = np.full(n_front, -1, dtype=np.int64)
         for j, f_global, b, val_l, val_r in splits:
-            s = int(nodes[j])
+            s = j if nodes is None else int(nodes[j])
             nid = front_start + s
             lid = store.add(val_l)
             rid = store.add(val_r)
@@ -323,7 +370,7 @@ def grow_tree(
         if moved.any():
             mrows = act[moved]
             mslots = slots[moved]
-            codes = table.codes[rows[mrows], split_feat[mslots]].astype(np.int64)
+            codes = table.codes[state.table_rows(mrows), split_feat[mslots]].astype(np.int64)
             side = (codes <= split_bin[mslots]).astype(np.int64)
             node_of_row[mrows] = child_map[mslots, 1 - side]
         front_start = len(store.feature) - n_children
@@ -336,15 +383,29 @@ def grow_tree(
 class _GrowState:
     """Per-fit arrays shared by every level of the growth loop."""
 
-    def __init__(self, table, mode, target, w, weighted, n_chan, rows):
+    def __init__(self, table, mode, target, w, weighted, n_chan, rows, min_samples_leaf):
         self.table = table
         self.mode = mode
         self.target = target
         self.w = w
         self.weighted = weighted
         self.n_chan = n_chan
-        self.rows = rows
+        self.rows = rows  # None: every row of the table, in order
+        self.min_samples_leaf = min_samples_leaf
         self.wy = w * target if mode == "variance" else None
+        # With integer weights every weight total is an integer, so no
+        # total lies strictly between 0 and 1.
+        self.integral = not weighted or bool(np.all(np.floor(w) == w))
+        # Where a side's weight total passes the leaf-size test exactly when
+        # its row count does, the row-count histogram is not needed: with
+        # unit weights the two are equal, and with integer weights >= 1 a
+        # side holds a row exactly when its total is >= 1.
+        self.leaf_by_weight = not weighted or (
+            min_samples_leaf == 1 and self.integral and (w.size == 0 or w.min() >= 1.0)
+        )
+
+    def table_rows(self, act: np.ndarray) -> np.ndarray:
+        return act if self.rows is None else self.rows[act]
 
     def totals_all(self) -> np.ndarray:
         if self.mode == "gini":
@@ -367,16 +428,22 @@ class _GrowState:
         sw, swy = totals
         return np.asarray([swy / sw if sw > 0 else 0.0])
 
+    def denom(self, total: np.ndarray) -> np.ndarray:
+        """`total` where positive, else 1."""
+        if self.integral:
+            return np.maximum(total, 1.0)
+        return np.where(total > 0, total, 1.0)
 
-def _score_stats(stats: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+
+def _score_stats(stats, state: _GrowState) -> tuple[np.ndarray, np.ndarray]:
     """Purity score to maximize, plus the weight total; channel axis first."""
-    if mode == "gini":
+    if state.mode == "gini":
         total = chan_sum(stats)
-        sq = chan_sum([s * s for s in stats])
+        sq = chan_sum(stats * stats)
     else:
         total, swy = stats
         sq = swy * swy
-    return sq / np.where(total > 0, total, 1.0), total
+    return sq / state.denom(total), total
 
 
 def _find_splits(
@@ -385,14 +452,56 @@ def _find_splits(
     totals: np.ndarray,
     act: np.ndarray,
     slots: np.ndarray,
-    feats: np.ndarray,
-    min_samples_leaf: int,
+    feats: np.ndarray | None,
     max_b: int,
+    root: dict | None,
 ) -> list[tuple[int, int, int, np.ndarray, np.ndarray]]:
     """Best split of each node that has one: (node, feature, bin, child values).
 
-    `counts`, `totals` and `feats` hold one entry per node; `act` and
-    `slots` give each row and its node. Results come in node order.
+    `counts` and `totals` hold one entry per node, `feats` the features
+    searched at each node (None: all); `act` and `slots` give each row and
+    its node. Results come in node order. Frontiers whose histograms exceed
+    the cell budget are searched in chunks of consecutive nodes.
+    """
+    n_front = counts.shape[0]
+    k = state.table.codes.shape[1] if feats is None else feats.shape[1]
+    per_node_cells = k * max_b * state.n_chan
+    nodes_per_chunk = max(1, _CELL_BUDGET // max(per_node_cells, 1))
+    if nodes_per_chunk >= n_front:
+        return _search(state, counts, totals, act, slots, feats, max_b, 0, root)
+
+    order = np.argsort(slots, kind="stable")
+    bounds = np.searchsorted(slots[order], np.arange(n_front + 1))
+    results = []
+    for start in range(0, n_front, nodes_per_chunk):
+        stop = min(start + nodes_per_chunk, n_front)
+        sel = order[bounds[start] : bounds[stop]]
+        if sel.size:
+            results += _search(
+                state, counts[start:stop], totals[start:stop], act[sel], slots[sel] - start,
+                None if feats is None else feats[start:stop], max_b, start, None,
+            )
+    return results
+
+
+def _cell_codes(state, act, slots, feats, c_n, k, max_b) -> np.ndarray:
+    """(rows, k) histogram cell of each row's value of each searched feature."""
+    table = state.table
+    if feats is not None:
+        bn = table.codes[state.table_rows(act)[:, None], feats[slots]].astype(np.int64)
+        return (slots[:, None] * k + np.arange(k, dtype=np.int64)) * max_b + bn
+    if c_n == 1 and state.rows is None and act.shape[0] == table.codes.shape[0]:
+        return table.flat_codes  # every row of the table, in order
+    # flat_codes already holds feature*max_b + bin.
+    flat = table.flat_codes[state.table_rows(act)]
+    if c_n > 1:
+        flat += (slots * (k * max_b))[:, None]
+    return flat
+
+
+def _search(state, counts, totals, act, slots, feats, max_b, first, root):
+    """`_find_splits` for one chunk of nodes, numbered from `first`.
+
     Histograms are channel-major, `(n_chan, node, feature, bin)`, so the
     prefix sums over bins and the per-channel score arithmetic run along
     contiguous memory. In gini mode the bincount index is
@@ -400,87 +509,84 @@ def _find_splits(
     summation order as they are; channel sums go through `chan_sum`.
     Scores, and so the chosen splits and leaf values, are bit-identical to
     those of a channel-last layout.
+
+    `root`, when given, holds what an earlier call computed from the same
+    rows: the bincount index, the leaf-size mask and, with unit weights,
+    the weight channel's prefix sums and denominators.
     """
-    table = state.table
-    n_front, k = feats.shape
-    n_chan = state.n_chan
-    results: list[tuple[int, int, int, np.ndarray, np.ndarray]] = []
+    c_n = counts.shape[0]
+    k = state.table.codes.shape[1] if feats is None else feats.shape[1]
+    cells = c_n * k * max_b
+    shape = (c_n, k, max_b)
+    if root is None:
+        root = {}
 
-    # Chunk frontier nodes so histogram arrays stay within the cell budget.
-    per_node_cells = k * max_b * n_chan
-    nodes_per_chunk = max(1, _CELL_BUDGET // max(per_node_cells, 1))
-    order = np.argsort(slots, kind="stable")
-    bounds = np.searchsorted(slots[order], np.arange(n_front + 1))
-    k_range = np.arange(k, dtype=np.int64)
-
-    for start in range(0, n_front, nodes_per_chunk):
-        stop = min(start + nodes_per_chunk, n_front)
-        sel = order[bounds[start] : bounds[stop]]
-        if sel.size == 0:
-            continue
-        c_slots = slots[sel] - start
-        c_act = act[sel]
-        c_n = stop - start
-
-        full = k == table.codes.shape[1]
-        cols = None if full else feats[start:stop][c_slots]
-        if full:
-            # flat_codes already holds feature*max_b + bin.
-            flat = table.flat_codes[state.rows[c_act]] + (c_slots * (k * max_b))[:, None]
-        else:
-            bn = table.codes[state.rows[c_act][:, None], cols].astype(np.int64)
-            flat = (c_slots[:, None] * k + k_range) * max_b + bn
-        cells = c_n * k * max_b
-        weights = np.repeat(state.w[c_act], k) if state.weighted else None
-
+    index = root.get("index")
+    if index is None:
+        flat = root["flat"] = _cell_codes(state, act, slots, feats, c_n, k, max_b)
         if state.mode == "gini":
-            packed = (flat + (state.target[c_act] * cells)[:, None]).ravel()
-            hists = np.bincount(packed, weights=weights, minlength=n_chan * cells)
-        else:
-            sw = np.bincount(flat.ravel(), weights=weights, minlength=cells)
-            swy = np.bincount(flat.ravel(), weights=np.repeat(state.wy[c_act], k), minlength=cells)
-            hists = np.concatenate([sw, swy])
-        hists = hists.astype(np.float64, copy=False).reshape(n_chan, c_n, k, max_b)
+            flat = flat + (state.target[act] * cells)[:, None]
+        index = root["index"] = flat.ravel()
+    weights = np.repeat(state.w[act], k) if state.weighted else None
 
+    if state.mode == "gini":
+        hists = np.bincount(index, weights=weights, minlength=state.n_chan * cells)
+        hists = hists.astype(np.float64, copy=False).reshape(state.n_chan, *shape)
         # The last bin is never a left boundary, so it is left out of the sums.
         stat_l = np.cumsum(hists[..., :-1], axis=-1)
-        stat_r = totals[start:stop].T[:, :, None, None] - stat_l
-        score_l, tot_l = _score_stats(stat_l, state.mode)
-        score = score_l + _score_stats(stat_r, state.mode)[0]
-        parent = _score_stats(totals[start:stop].T, state.mode)[0]
+        stat_r = totals.T[:, :, None, None] - stat_l
+        score, tot_l = _score_stats(stat_l, state)
+        score_r, tot_r = _score_stats(stat_r, state)
+        score += score_r
+    else:
+        swy = np.bincount(index, weights=np.repeat(state.wy[act], k), minlength=cells)
+        swy_l = np.cumsum(swy.reshape(shape)[..., :-1], axis=-1)
+        swy_r = totals[:, 1, None, None] - swy_l
+        # With unit weights the weight channel is the row count, the same
+        # for every call on these rows.
+        sw_cache = root if not state.weighted else {}
+        if "sw_l" not in sw_cache:
+            if state.weighted:
+                sw = np.bincount(index, weights=weights, minlength=cells)
+            else:
+                sw = np.bincount(index, minlength=cells).astype(np.float64)
+            sw_l = np.cumsum(sw.reshape(shape)[..., :-1], axis=-1)
+            sw_r = totals[:, 0, None, None] - sw_l
+            sw_cache.update(sw_l=sw_l, sw_r=sw_r, den_l=state.denom(sw_l), den_r=state.denom(sw_r))
+        tot_l, tot_r = sw_cache["sw_l"], sw_cache["sw_r"]
+        score = swy_l * swy_l / sw_cache["den_l"]
+        score += swy_r * swy_r / sw_cache["den_r"]
+        stat_l, stat_r = (tot_l, swy_l), (tot_r, swy_r)
 
-        if state.weighted:
-            hist_cnt = np.bincount(flat.ravel(), minlength=cells).reshape(c_n, k, max_b)
+    invalid = root.get("invalid")
+    if invalid is None:
+        if state.leaf_by_weight:
+            cnt_l, cnt_r = tot_l, tot_r
+        else:
+            hist_cnt = np.bincount(root["flat"].ravel(), minlength=cells).reshape(shape)
             cnt_l = np.cumsum(hist_cnt[..., :-1], axis=-1)
-        else:
-            cnt_l = tot_l  # unit weights: the left weight total is the row count
-        cnt_r = counts[start:stop, None, None] - cnt_l
+            cnt_r = counts[:, None, None] - cnt_l
+        invalid = root["invalid"] = np.minimum(cnt_l, cnt_r) < state.min_samples_leaf
+    np.copyto(score, -np.inf, where=invalid)
 
-        valid = (cnt_l >= min_samples_leaf) & (cnt_r >= min_samples_leaf)
-        if cols is None:
-            bmax = (table.n_bins - 1)[None, :, None]
-        else:
-            bmax = (table.n_bins[feats[start:stop]] - 1)[:, :, None]
-        valid &= np.arange(max_b - 1)[None, None, :] < bmax
-        score = np.where(valid, score, -np.inf)
+    parent = _score_stats(totals.T, state)[0]
+    flat_score = score.reshape(c_n, -1)
+    best_idx = np.argmax(flat_score, axis=1)
+    best_score = flat_score[np.arange(c_n), best_idx]
+    gain = best_score - parent
+    denom = counts.astype(np.float64)
+    ok = np.isfinite(best_score) & (gain / np.where(denom > 0, denom, 1.0) > _GAIN_EPS)
 
-        flat_score = score.reshape(c_n, -1)
-        best_idx = np.argmax(flat_score, axis=1)
-        best_score = flat_score[np.arange(c_n), best_idx]
-        gain = best_score - parent
-        denom = counts[start:stop].astype(np.float64)
-        ok = np.isfinite(best_score) & (gain / np.where(denom > 0, denom, 1.0) > _GAIN_EPS)
-
-        for j in np.flatnonzero(ok):
-            s = start + j
-            fi, b = divmod(int(best_idx[j]), max_b - 1)
-            results.append((
-                s,
-                int(feats[s, fi]),
-                b,
-                state.node_value(stat_l[:, j, fi, b]),
-                state.node_value(stat_r[:, j, fi, b]),
-            ))
+    results = []
+    for j in np.flatnonzero(ok):
+        fi, b = divmod(int(best_idx[j]), max_b - 1)
+        results.append((
+            first + int(j),
+            fi if feats is None else int(feats[j, fi]),
+            b,
+            state.node_value(np.array([s[j, fi, b] for s in stat_l])),
+            state.node_value(np.array([s[j, fi, b] for s in stat_r])),
+        ))
     return results
 
 

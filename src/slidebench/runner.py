@@ -583,6 +583,12 @@ def run_pipeline(cfg: RunConfig) -> Path:
     tracker = Tracker(run_id, out / cfg.tracker_jsonl, webhook=webhook)
     stage = "ingest"
 
+    def final_meta(status: str, **fields) -> dict:
+        meta = {"run_id": run_id, "status": status, **fields, "config": cfg.to_dict()}
+        if webhook is not None and webhook.disabled:
+            meta["webhook_disabled"] = True
+        return meta
+
     def run(name: str, fn, *args):
         nonlocal stage
         stage = name
@@ -623,17 +629,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
         error = exc
         if isinstance(exc, StageError):
             stage, error = exc.stage, exc.__cause__ or exc
-        _write_json(
-            meta_path,
-            {
-                "run_id": run_id,
-                "status": "failed",
-                "stage": stage,
-                "error": type(error).__name__,
-                "config": cfg.to_dict(),
-            },
-        )
+        _write_json(meta_path, final_meta("failed", stage=stage, error=type(error).__name__))
         raise
 
-    _write_json(meta_path, {"run_id": run_id, "status": "complete", "config": cfg.to_dict()})
+    _write_json(meta_path, final_meta("complete"))
     return out

@@ -2,7 +2,9 @@
 
 Events append to a local file (fatal on failure) and, when configured,
 POST to a webhook with retries; webhook failures only warn and never
-abort the run.
+abort the run. Once one event has run out of attempts the webhook is
+disabled for the rest of the run, so a sink that never answers costs
+one event's retries, not every event's.
 """
 
 from __future__ import annotations
@@ -65,7 +67,11 @@ class JsonlSink:
 
 
 class WebhookSink:
-    """JSON-over-HTTP event mirror; failures degrade to warnings."""
+    """JSON-over-HTTP event mirror; failures degrade to warnings.
+
+    After the first event that runs out of attempts the sink is disabled:
+    every later event is dropped without a connection attempt.
+    """
 
     def __init__(self, url: str, attempts: int = 3, backoff: float = 0.5, timeout: float = 5.0):
         self.url = url
@@ -74,7 +80,13 @@ class WebhookSink:
         self.timeout = timeout
         self.failures = 0
 
+    @property
+    def disabled(self) -> bool:
+        return self.failures > 0
+
     def emit(self, event: RunEvent) -> None:
+        if self.disabled:
+            return
         body = event.to_json().encode("utf-8")
         for attempt in range(self.attempts):
             req = urllib.request.Request(
@@ -89,7 +101,10 @@ class WebhookSink:
             if attempt + 1 < self.attempts:
                 time.sleep(self.backoff * (2.0**attempt))
         self.failures += 1
-        logger.warning("webhook %s unreachable after %d attempts", self.url, self.attempts)
+        logger.warning(
+            "webhook %s unreachable after %d attempts; no more events are sent to it in this run",
+            self.url, self.attempts,
+        )
 
 
 class Tracker:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,27 @@ def make_blobs(n_per_class: list[int], d: int, sep: float, seed: int = 0, dir_se
         X.append(rng.standard_normal((n, d)) + sep * base[c])
         y.append(np.full(n, c, dtype=np.int64))
     return np.vstack(X), np.concatenate(y)
+
+
+@pytest.fixture
+def silent_server():
+    """A listening socket that never accepts: connections complete in the
+    kernel's backlog, and requests are never answered."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(16)
+    yield sock
+    sock.close()
+
+
+def pending_connections(sock: socket.socket) -> int:
+    """Accept and close every connection waiting on `sock`; their number."""
+    sock.setblocking(False)
+    n = 0
+    while True:
+        try:
+            conn, _ = sock.accept()
+        except BlockingIOError:
+            return n
+        conn.close()
+        n += 1

@@ -335,6 +335,13 @@ class TestEngine:
         leaf_ids = np.flatnonzero(tree.feature < 0)
         assert all(counts[i] >= 10 for i in leaf_ids if counts[i] > 0)
 
+    def test_min_samples_leaf_below_one_rejected(self):
+        # The split search relies on the leaf-size test to rule out
+        # boundaries past a feature's last bin.
+        table = bin_features(np.arange(12.0).reshape(6, 2))
+        with pytest.raises(ValueError, match="min_samples_leaf must be >= 1"):
+            grow_tree(table, "gini", np.arange(6) % 2, TreeParams(min_samples_leaf=0), n_classes=2)
+
     def test_regression_leaf_means(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((40, 3))
@@ -436,6 +443,199 @@ class TestChunkedFrontier:
             a, b = getattr(whole, name), getattr(chunked, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         np.testing.assert_array_equal(leaves, chunked_leaves)
+
+
+def _mixed_table(rng, n: int, max_bins: int = 16):
+    """Constant, binary, three-level and continuous columns in one table:
+    most features have fewer bins than the table's widest."""
+    X = np.column_stack([
+        np.full(n, 2.5),
+        rng.integers(0, 2, n),
+        rng.integers(0, 3, n) * 0.5,
+        rng.standard_normal(n),
+        rng.integers(0, 2, n),
+        rng.standard_normal(n) * 3.0,
+    ])
+    return bin_features(X, max_bins), X
+
+
+def _tree_digest(fits) -> str:
+    h = hashlib.sha256()
+    for tree, leaves in fits:
+        for name in ("feature", "threshold", "left", "right", "value"):
+            h.update(getattr(tree, name).tobytes())
+        h.update(np.asarray(leaves, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def _tiny_weight_fits():
+    # Float weights with zeros and subnormal-sized ones: weight totals lie
+    # strictly between 0 and 1, where only "total if total > 0 else 1" is
+    # the right denominator.
+    fits = []
+    for seed in range(6):
+        rng = np.random.default_rng([31, seed])
+        table, X = _mixed_table(rng, 60)
+        w = rng.random(60)
+        w[rng.random(60) < 0.25] = 0.0
+        w[rng.random(60) < 0.15] = 1e-300
+        w /= w.sum()
+        y = (X[:, 3] > 0).astype(int) + rng.integers(0, 2, 60)
+        fits.append(grow_tree(table, "gini", y, TreeParams(), n_classes=3, sample_weight=w))
+        fits.append(grow_tree(table, "variance", X[:, 5] + rng.standard_normal(60),
+                              TreeParams(max_depth=4), sample_weight=w))
+    return fits
+
+
+def _integer_weight_fits():
+    # Integer weights, with zeros and with min_samples_leaf = 3: a side's
+    # weight total and its row count differ, and the leaf-size test must
+    # count rows. Only weights >= 1 with min_samples_leaf = 1 let the
+    # weight total stand in for the row count.
+    fits = []
+    for seed in range(6):
+        rng = np.random.default_rng([32, seed])
+        table, X = _mixed_table(rng, 50)
+        w = rng.integers(0, 4, 50).astype(np.float64)
+        y = rng.integers(0, 3, 50)
+        rows = np.flatnonzero(w > 0)
+        for leaf in (1, 3):
+            params = TreeParams(min_samples_leaf=leaf)
+            fits.append(grow_tree(table, "gini", y, params, n_classes=3, sample_weight=w))
+            fits.append(grow_tree(table, "variance", X[:, 3] * y, params, sample_weight=w))
+            fits.append(grow_tree(
+                table, "gini", y, params, n_classes=3, sample_weight=w[rows], rows=rows
+            ))
+    return fits
+
+
+def _mixed_bin_fits():
+    # Unit weights and bootstrap counts over features with 1, 2, 3 and 16
+    # bins: boundaries at or past a feature's last bin must never win.
+    fits = []
+    for seed in range(6):
+        rng = np.random.default_rng([33, seed])
+        table, X = _mixed_table(rng, 70)
+        y = rng.integers(0, 4, 70)
+        fits.append(grow_tree(table, "gini", y, TreeParams(), n_classes=4))
+        fits.append(grow_tree(table, "variance", X[:, 1] - X[:, 2] + 0.1 * y, TreeParams()))
+        draw = np.bincount(rng.integers(0, 70, 70), minlength=70).astype(np.float64)
+        rows = np.flatnonzero(draw > 0)
+        for leaf in (1, 2):
+            fits.append(grow_tree(
+                table, "gini", y, TreeParams(min_samples_leaf=leaf, max_features=3), n_classes=4,
+                sample_weight=draw[rows], rows=rows, rng=np.random.default_rng([seed, leaf]),
+            ))
+    return fits
+
+
+def _random_fits(n_fits: int = 300):
+    fits = []
+    for i in range(n_fits):
+        rng = np.random.default_rng([34, i])
+        n, d = int(rng.integers(4, 60)), int(rng.integers(1, 12))
+        X = rng.standard_normal((n, d))
+        for f in np.flatnonzero(rng.random(d) < 0.4):
+            X[:, f] = rng.integers(0, int(rng.integers(1, 4)), n)
+        table = bin_features(X, int(rng.integers(2, 70)))
+        params = TreeParams(
+            max_depth=None if rng.random() < 0.4 else int(rng.integers(1, 6)),
+            min_samples_split=int(rng.choice([2, 4, 9])),
+            min_samples_leaf=int(rng.choice([1, 1, 2, 4])),
+            max_features=None if rng.random() < 0.5 else int(rng.integers(1, d + 1)),
+        )
+        weights = int(rng.integers(0, 4))
+        w = None
+        if weights == 1:
+            w = rng.random(n) + 0.01
+        elif weights == 2:
+            w = rng.integers(0, 4, n).astype(np.float64)
+        elif weights == 3:
+            w = rng.random(n)
+            w[rng.random(n) < 0.3] = 0.0
+        rows = None
+        if rng.random() < 0.3:
+            draw = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
+            rows = np.flatnonzero(draw > 0)
+            w = draw[rows] if w is None else w[rows]
+        tree_rng = np.random.default_rng([35, i])
+        if rng.random() < 0.5:
+            k = int(rng.integers(2, 5))
+            fits.append(grow_tree(table, "gini", rng.integers(0, k, n), params, n_classes=k,
+                                  sample_weight=w, rows=rows, rng=tree_rng))
+        else:
+            fits.append(grow_tree(table, "variance", rng.standard_normal(n), params,
+                                  sample_weight=w, rows=rows, rng=tree_rng))
+    return fits
+
+
+def _single_splittable_boost_fits():
+    # Boosting fits whose depth-1 frontier has one splittable node: the
+    # depth-0 work shared across a fit's trees must not be reused there.
+    # Of 60 rows, at most one root child holds the 31 that gradient
+    # boosting needs to split; AdaBoost's root splits off the six rows of
+    # class 0, a pure child.
+    rng = np.random.default_rng(36)
+    X = rng.standard_normal((60, 8))
+    y = rng.integers(1, 3, 60)
+    X[:6, 0] += 6.0
+    y[:6] = 0
+    models = [
+        build_classifier(ClassifierSpec(
+            "gradient_boosting", {"n_estimators": 4, "max_depth": 3, "min_samples_split": 31}
+        )).fit(X, y),
+        build_classifier(ClassifierSpec("adaboost", {"n_estimators": 6, "base_depth": 3})).fit(X, y),
+    ]
+    trees_ = [t for stage in models[0].rounds_ for t in stage] + models[1].trees_
+    return X, trees_, [(t, t.apply(X)) for t in trees_]
+
+
+# sha256 over each case's fitted trees and leaf ids, recorded with the
+# engine that searched every split with an argsort by node, one
+# concatenated histogram per level and an explicit last-bin mask, and that
+# recomputed the root for every tree of an ensemble (numpy 2.4, x86-64).
+ENGINE_CASES = {
+    "tiny_float_weights": (
+        _tiny_weight_fits,
+        "8b78b8c88f64614e7bd94594381feecb3bc0bd983b6b2bb8a576df7defcb36e3",
+    ),
+    "integer_weights": (
+        _integer_weight_fits,
+        "e3b0fd2391cf3c0bc577e407b55153e18e6614948386bfd3a8f3934162f9df89",
+    ),
+    "mixed_bin_counts": (
+        _mixed_bin_fits,
+        "dd5755e8c26442d59258ac9a2643afdd49b9ceef63ce9a85475a805b7a3ae000",
+    ),
+    "random_300": (
+        _random_fits,
+        "02f52ad8ae4448cc5c3c8666622cda2a73875f0f708b80f6fda78e768afb7d3e",
+    ),
+    "boosting_single_splittable": (
+        lambda: _single_splittable_boost_fits()[2],
+        "1cc0c04b3c9ea50bd95920dd79007f8a543d3583ef761a2264bb3b9e85bd626d",
+    ),
+}
+
+
+class TestEngineExactness:
+    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    def test_fits_unchanged(self, name):
+        build, digest = ENGINE_CASES[name]
+        assert _tree_digest(build()) == digest
+
+    def test_boosting_case_has_single_splittable_node(self):
+        X, trees_, _ = _single_splittable_boost_fits()
+        singles = {"gbm": 0, "ada": 0}
+        for i, tree in enumerate(trees_):
+            kids = [tree.left[0], tree.right[0]]
+            rows = np.bincount(tree.apply(X, max_depth=1), minlength=tree.n_nodes)[kids]
+            split = [tree.feature[c] >= 0 for c in kids]
+            if i < 12:  # gradient boosting: only a child of 31 rows or more can split
+                singles["gbm"] += split.count(True) == 1 and min(rows) < 31
+            else:  # AdaBoost: the six rows of class 0 form a pure child
+                singles["ada"] += split.count(True) == 1 and min(rows) == 6
+        assert singles["gbm"] >= 6 and singles["ada"] >= 1, singles
 
 
 class TestSharedBins:

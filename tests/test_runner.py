@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import functools
 import json
 import os
 import shutil
@@ -26,6 +27,9 @@ from slidebench.runner import (
     learning_curve,
     run_pipeline,
 )
+from slidebench.tracker import WebhookSink
+
+from conftest import pending_connections
 
 SMALL_COUNTS = {
     Category.BASALOID: 20,
@@ -153,6 +157,24 @@ class TestRunPipeline:
         cfg, out = completed_run
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta == {"run_id": cfg.run_id(), "status": "complete", "config": cfg.to_dict()}
+
+    def test_silent_webhook_disabled_and_recorded(self, tmp_path, monkeypatch, silent_server):
+        from slidebench import runner
+
+        sink = functools.partial(WebhookSink, attempts=2, backoff=0.01, timeout=0.2)
+        monkeypatch.setattr(runner, "WebhookSink", sink)
+        url = f"http://127.0.0.1:{silent_server.getsockname()[1]}/hook"
+        cfg = small_config(
+            tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn", webhook_url=url
+        )
+        out = run_pipeline(cfg)
+        # The first event's two attempts; every later event was dropped.
+        assert pending_connections(silent_server) == 2
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta == {
+            "run_id": cfg.run_id(), "status": "complete", "config": cfg.to_dict(),
+            "webhook_disabled": True,
+        }
 
     def test_interrupt_marks_run_failed(self, tmp_path, monkeypatch):
         from slidebench import runner
@@ -421,6 +443,25 @@ class TestConfig:
     def test_scalar_grid_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="grids.knn.k must be a non-empty list"):
             small_config(tmp_path, grids={"knn": {"k": 3}})
+
+    @pytest.mark.parametrize("name, value", [
+        ("classifiers", "knn"),
+        ("classifiers", b"knn"),
+        ("backends", "bk0"),
+        ("learning_curve_sizes", "20"),
+    ])
+    def test_string_in_place_of_list_rejected(self, tmp_path, name, value):
+        # A string is iterable, so it used to be split into its characters.
+        with pytest.raises(ConfigError, match=f"{name} must be a list, not a string"):
+            small_config(tmp_path, selected_classifier="knn", **{name: value})
+
+    def test_string_classifiers_rejected_when_loading(self, tmp_path):
+        raw = small_config(tmp_path).to_dict()
+        raw.update(classifiers="knn", selected_classifier="knn")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="classifiers must be a list, not a string"):
+            load_config(path)
 
     def test_grid_errors_raised_when_loading(self, tmp_path):
         raw = small_config(tmp_path).to_dict()

@@ -8,19 +8,44 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from slidebench.learners import ClassifierSpec, build_classifier
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_instrumentation_installs_and_restores(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
-    tracing = importlib.import_module("tracing")
+    module = importlib.import_module("tracing")
     monkeypatch.delitem(sys.modules, "tracing")
+    return module
 
+
+def test_instrumentation_installs_and_restores(tracing):
     inst = tracing.Instrumentation(tracing.Tracer())
     originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in inst._plan]
     with inst.installed():
         swapped = [owner.__dict__[attr] is not fn for owner, attr, fn in originals]
     assert all(swapped)
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+
+
+def test_grow_tree_spans_count_the_fitted_nodes(tracing):
+    # The tracer reads `nodes` from grow_tree's return value; a change to
+    # its shape or to how the ensembles call it must show up here.
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 6))
+    y = rng.integers(0, 3, 40)
+    tracer = tracing.Tracer()
+    spec = ClassifierSpec("gradient_boosting", {"n_estimators": 4, "max_depth": 2}, seed=1)
+    with tracing.Instrumentation(tracer).installed():
+        model = build_classifier(spec).fit(X, y)
+    fitted = [tree.n_nodes for stage in model.rounds_ for tree in stage]
+    spans = [s.attrs["nodes"] for s in tracer.spans if s.name == "learners.grow_tree"]
+    assert len(fitted) == 4 * 3
+    assert spans == fitted

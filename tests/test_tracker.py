@@ -3,10 +3,13 @@
 import http.server
 import json
 import threading
+import time
 
 import pytest
 
 from slidebench.tracker import JsonlSink, RunEvent, Tracker, WebhookSink
+
+from conftest import pending_connections
 
 
 class TestJsonl:
@@ -102,6 +105,23 @@ class TestWebhook:
         with caplog.at_level("WARNING"):
             tracker.track("train", "m", 3.0)
         assert sink.failures == 1
+
+    def test_silent_sink_disabled_after_first_event(self, tmp_path, silent_server, caplog):
+        url = f"http://127.0.0.1:{silent_server.getsockname()[1]}/hook"
+        sink = WebhookSink(url, attempts=2, backoff=0.01, timeout=0.2)
+        tracker = Tracker("r", tmp_path / "e.jsonl", webhook=sink)
+        with caplog.at_level("WARNING"):
+            tracker.track("train", "a", 1.0)
+            assert sink.disabled
+            assert pending_connections(silent_server) == 2  # both attempts timed out
+            t0 = time.perf_counter()
+            tracker.track("train", "b", 2.0)
+            elapsed = time.perf_counter() - t0
+        assert pending_connections(silent_server) == 0  # no connection attempt
+        assert elapsed < sink.timeout
+        assert sink.failures == 1
+        assert caplog.text.count("unreachable") == 1
+        assert [e.metric for e in tracker.local.read_events()] == ["a", "b"]
 
     def test_local_log_failure_is_fatal(self, tmp_path):
         sink = JsonlSink(tmp_path / "dir-blocked" / "e.jsonl")
