@@ -24,10 +24,11 @@ frontier, so the RNG stream is the same whichever nodes can split.
 Each level does one histogram pass per channel and skips what cannot
 change a split; each shortcut is exact, not approximate:
 
-- When the whole frontier fits the cell budget (always at benchmark and
-  paper sizes) rows are histogrammed in row order without sorting them
-  by node: each cell belongs to one node, so it still sums its rows in
-  row order.
+- When one chunk holds the whole frontier, that is when the splittable
+  nodes number at most `_CELL_BUDGET // (features searched * max_b *
+  channels)` (every fit of the benchmark), rows are histogrammed in row
+  order without sorting them by node: each cell belongs to one node, so
+  it still sums its rows in row order.
 - Denominators are `total if total > 0 else 1`. With integer weights
   (unit weights, bootstrap counts) no total lies strictly between 0 and
   1, so `max(total, 1)` gives the same values; float weights keep the
@@ -334,26 +335,20 @@ def grow_tree(
             feats = np.sort(part, axis=1)
 
         # Only splittable nodes and their rows reach the histogram passes.
-        if splittable.all():
-            nodes = None
-            splits = _find_splits(
-                state, counts, totals, act, slots, feats, max_b, root if depth == 0 else None
-            )
-        else:
-            nodes = np.flatnonzero(splittable)
-            keep = splittable[slots]
-            rank = np.cumsum(splittable) - 1
-            splits = _find_splits(
-                state, counts[nodes], totals[nodes], act[keep], rank[slots[keep]],
-                None if feats is None else feats[nodes], max_b, None,
-            )
+        nodes = np.flatnonzero(splittable)
+        keep = splittable[slots]
+        rank = np.cumsum(splittable) - 1
+        splits = _find_splits(
+            state, counts[nodes], totals[nodes], act[keep], rank[slots[keep]],
+            None if feats is None else feats[nodes], max_b, root if depth == 0 else None,
+        )
 
         n_children = 0
         child_map = np.full((n_front, 2), -1, dtype=np.int64)
         split_feat = np.full(n_front, -1, dtype=np.int64)
         split_bin = np.full(n_front, -1, dtype=np.int64)
         for j, f_global, b, val_l, val_r in splits:
-            s = j if nodes is None else int(nodes[j])
+            s = int(nodes[j])
             nid = front_start + s
             lid = store.add(val_l)
             rid = store.add(val_r)

@@ -3,7 +3,6 @@
 import http.server
 import json
 import threading
-import time
 
 import pytest
 
@@ -114,11 +113,8 @@ class TestWebhook:
             tracker.track("train", "a", 1.0)
             assert sink.disabled
             assert pending_connections(silent_server) == 2  # both attempts timed out
-            t0 = time.perf_counter()
             tracker.track("train", "b", 2.0)
-            elapsed = time.perf_counter() - t0
         assert pending_connections(silent_server) == 0  # no connection attempt
-        assert elapsed < sink.timeout
         assert sink.failures == 1
         assert caplog.text.count("unreachable") == 1
         assert [e.metric for e in tracker.local.read_events()] == ["a", "b"]
