@@ -132,7 +132,6 @@ class GradientBoosting(BaseClassifier):
         F = np.zeros((n, k))
         self.rounds_ = []
         self.train_loss_ = []
-        root: dict = {}  # every tree grows from all rows of `table`
         for _ in range(n_rounds):
             P = softmax(F)
             self.train_loss_.append(_cross_entropy(P, codes))
@@ -140,7 +139,7 @@ class GradientBoosting(BaseClassifier):
             for c in range(k):
                 residual = Y[:, c] - P[:, c]
                 hessian = P[:, c] * (1.0 - P[:, c])
-                tree, leaf_of_row = grow_tree(table, "variance", residual, params, root=root)
+                tree, leaf_of_row = grow_tree(table, "variance", residual, params)
                 # Damped Newton step per leaf.
                 num = np.bincount(leaf_of_row, weights=residual, minlength=tree.n_nodes)
                 den = np.bincount(leaf_of_row, weights=hessian, minlength=tree.n_nodes)
@@ -219,10 +218,9 @@ class AdaBoost(BaseClassifier):
         w = np.full(n, 1.0 / n)
         self.trees_ = []
         self.alphas_ = []
-        root: dict = {}  # every tree grows from all rows of `table`
         for _ in range(n_estimators):
             tree, leaf_of_row = grow_tree(
-                table, "gini", codes, params, n_classes=k, sample_weight=w, root=root
+                table, "gini", codes, params, n_classes=k, sample_weight=w
             )
             pred = np.argmax(tree.value[leaf_of_row], axis=1)
             miss = pred != codes

@@ -29,23 +29,11 @@ change a split; each shortcut is exact, not approximate:
   channels)` (every fit of the benchmark), rows are histogrammed in row
   order without sorting them by node: each cell belongs to one node, so
   it still sums its rows in row order.
-- Denominators are `total if total > 0 else 1`. With integer weights
-  (unit weights, bootstrap counts) no total lies strictly between 0 and
-  1, so `max(total, 1)` gives the same values; float weights keep the
-  conditional form, as a side's total made by subtraction can be 0 while
-  its squared sums are not.
 - A boundary at or past a feature's last bin leaves no row on the right,
   so the leaf-size test (`min_samples_leaf` >= 1) rules it out and no
   per-feature bin mask is needed.
 - The leaf-size test counts rows. With unit weights the weight totals
-  are the row counts, and with integer weights >= 1 and
-  `min_samples_leaf` = 1 a side holds a row exactly when its weight total
-  is >= 1; both reuse the weight channel instead of a row-count histogram.
-- Every tree of a boosting fit starts from all rows of one table, so its
-  depth-0 histogram index, leaf-size mask and, with unit weights, weight
-  channel prefix sums are the same for each tree; the fit passes a dict
-  (`grow_tree(..., root=...)`) that keeps them. Only depth 0 uses it: a
-  later frontier of one node holds only some of the rows.
+  are the row counts, so no row-count histogram is made.
 
 Binning a training matrix is shared inside a `shared_bins()` block: there
 `bin_features` returns the same read-only `BinTable` for every call on an
@@ -252,19 +240,12 @@ def grow_tree(
     sample_weight: np.ndarray | None = None,
     rows: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-    *,
-    root: dict | None = None,
 ) -> tuple[FittedTree, np.ndarray]:
     """Grow one tree; returns it plus the leaf id of every training row.
 
     mode "gini": y holds class codes, leaf values are weighted class
     distributions. mode "variance": y holds real targets, leaf values are
     weighted means (single column).
-
-    `root` is a dict that the fits of one model share to reuse the
-    depth-0 work that depends on the rows alone. It is only valid across
-    calls on the same table with all rows (`rows` None), all features, the
-    same mode and params, and in gini mode the same `y`.
     """
     if mode not in ("gini", "variance"):
         raise ValueError(f"unknown tree mode {mode!r}")
@@ -297,8 +278,6 @@ def grow_tree(
     k_feats = d if params.max_features is None else min(params.max_features, d)
     if k_feats < d and rng is None:
         raise ValueError("feature subsampling requires an RNG")
-    if k_feats < d or rows is not None:
-        root = None
 
     state = _GrowState(table, mode, target, w, weighted, n_chan, rows, params.min_samples_leaf)
     store = _NodeStore(n_classes if mode == "gini" else 1)
@@ -340,7 +319,7 @@ def grow_tree(
         rank = np.cumsum(splittable) - 1
         splits = _find_splits(
             state, counts[nodes], totals[nodes], act[keep], rank[slots[keep]],
-            None if feats is None else feats[nodes], max_b, root if depth == 0 else None,
+            None if feats is None else feats[nodes], max_b,
         )
 
         n_children = 0
@@ -388,16 +367,6 @@ class _GrowState:
         self.rows = rows  # None: every row of the table, in order
         self.min_samples_leaf = min_samples_leaf
         self.wy = w * target if mode == "variance" else None
-        # With integer weights every weight total is an integer, so no
-        # total lies strictly between 0 and 1.
-        self.integral = not weighted or bool(np.all(np.floor(w) == w))
-        # Where a side's weight total passes the leaf-size test exactly when
-        # its row count does, the row-count histogram is not needed: with
-        # unit weights the two are equal, and with integer weights >= 1 a
-        # side holds a row exactly when its total is >= 1.
-        self.leaf_by_weight = not weighted or (
-            min_samples_leaf == 1 and self.integral and (w.size == 0 or w.min() >= 1.0)
-        )
 
     def table_rows(self, act: np.ndarray) -> np.ndarray:
         return act if self.rows is None else self.rows[act]
@@ -423,12 +392,6 @@ class _GrowState:
         sw, swy = totals
         return np.asarray([swy / sw if sw > 0 else 0.0])
 
-    def denom(self, total: np.ndarray) -> np.ndarray:
-        """`total` where positive, else 1."""
-        if self.integral:
-            return np.maximum(total, 1.0)
-        return np.where(total > 0, total, 1.0)
-
 
 def _score_stats(stats, state: _GrowState) -> tuple[np.ndarray, np.ndarray]:
     """Purity score to maximize, plus the weight total; channel axis first."""
@@ -438,7 +401,12 @@ def _score_stats(stats, state: _GrowState) -> tuple[np.ndarray, np.ndarray]:
     else:
         total, swy = stats
         sq = swy * swy
-    return sq / state.denom(total), total
+    return sq / _denom(total), total
+
+
+def _denom(total: np.ndarray) -> np.ndarray:
+    """`total` where positive, else 1."""
+    return np.where(total > 0, total, 1.0)
 
 
 def _find_splits(
@@ -449,7 +417,6 @@ def _find_splits(
     slots: np.ndarray,
     feats: np.ndarray | None,
     max_b: int,
-    root: dict | None,
 ) -> list[tuple[int, int, int, np.ndarray, np.ndarray]]:
     """Best split of each node that has one: (node, feature, bin, child values).
 
@@ -463,7 +430,7 @@ def _find_splits(
     per_node_cells = k * max_b * state.n_chan
     nodes_per_chunk = max(1, _CELL_BUDGET // max(per_node_cells, 1))
     if nodes_per_chunk >= n_front:
-        return _search(state, counts, totals, act, slots, feats, max_b, 0, root)
+        return _search(state, counts, totals, act, slots, feats, max_b, 0)
 
     order = np.argsort(slots, kind="stable")
     bounds = np.searchsorted(slots[order], np.arange(n_front + 1))
@@ -474,7 +441,7 @@ def _find_splits(
         if sel.size:
             results += _search(
                 state, counts[start:stop], totals[start:stop], act[sel], slots[sel] - start,
-                None if feats is None else feats[start:stop], max_b, start, None,
+                None if feats is None else feats[start:stop], max_b, start,
             )
     return results
 
@@ -494,7 +461,7 @@ def _cell_codes(state, act, slots, feats, c_n, k, max_b) -> np.ndarray:
     return flat
 
 
-def _search(state, counts, totals, act, slots, feats, max_b, first, root):
+def _search(state, counts, totals, act, slots, feats, max_b, first):
     """`_find_splits` for one chunk of nodes, numbered from `first`.
 
     Histograms are channel-major, `(n_chan, node, feature, bin)`, so the
@@ -504,24 +471,15 @@ def _search(state, counts, totals, act, slots, feats, max_b, first, root):
     summation order as they are; channel sums go through `chan_sum`.
     Scores, and so the chosen splits and leaf values, are bit-identical to
     those of a channel-last layout.
-
-    `root`, when given, holds what an earlier call computed from the same
-    rows: the bincount index, the leaf-size mask and, with unit weights,
-    the weight channel's prefix sums and denominators.
     """
     c_n = counts.shape[0]
     k = state.table.codes.shape[1] if feats is None else feats.shape[1]
     cells = c_n * k * max_b
     shape = (c_n, k, max_b)
-    if root is None:
-        root = {}
 
-    index = root.get("index")
-    if index is None:
-        flat = root["flat"] = _cell_codes(state, act, slots, feats, c_n, k, max_b)
-        if state.mode == "gini":
-            flat = flat + (state.target[act] * cells)[:, None]
-        index = root["index"] = flat.ravel()
+    flat = _cell_codes(state, act, slots, feats, c_n, k, max_b)
+    index = flat + (state.target[act] * cells)[:, None] if state.mode == "gini" else flat
+    index = index.ravel()
     weights = np.repeat(state.w[act], k) if state.weighted else None
 
     if state.mode == "gini":
@@ -537,32 +495,23 @@ def _search(state, counts, totals, act, slots, feats, max_b, first, root):
         swy = np.bincount(index, weights=np.repeat(state.wy[act], k), minlength=cells)
         swy_l = np.cumsum(swy.reshape(shape)[..., :-1], axis=-1)
         swy_r = totals[:, 1, None, None] - swy_l
-        # With unit weights the weight channel is the row count, the same
-        # for every call on these rows.
-        sw_cache = root if not state.weighted else {}
-        if "sw_l" not in sw_cache:
-            if state.weighted:
-                sw = np.bincount(index, weights=weights, minlength=cells)
-            else:
-                sw = np.bincount(index, minlength=cells).astype(np.float64)
-            sw_l = np.cumsum(sw.reshape(shape)[..., :-1], axis=-1)
-            sw_r = totals[:, 0, None, None] - sw_l
-            sw_cache.update(sw_l=sw_l, sw_r=sw_r, den_l=state.denom(sw_l), den_r=state.denom(sw_r))
-        tot_l, tot_r = sw_cache["sw_l"], sw_cache["sw_r"]
-        score = swy_l * swy_l / sw_cache["den_l"]
-        score += swy_r * swy_r / sw_cache["den_r"]
+        if state.weighted:
+            sw = np.bincount(index, weights=weights, minlength=cells)
+        else:
+            sw = np.bincount(index, minlength=cells).astype(np.float64)
+        tot_l = np.cumsum(sw.reshape(shape)[..., :-1], axis=-1)
+        tot_r = totals[:, 0, None, None] - tot_l
+        score = swy_l * swy_l / _denom(tot_l)
+        score += swy_r * swy_r / _denom(tot_r)
         stat_l, stat_r = (tot_l, swy_l), (tot_r, swy_r)
 
-    invalid = root.get("invalid")
-    if invalid is None:
-        if state.leaf_by_weight:
-            cnt_l, cnt_r = tot_l, tot_r
-        else:
-            hist_cnt = np.bincount(root["flat"].ravel(), minlength=cells).reshape(shape)
-            cnt_l = np.cumsum(hist_cnt[..., :-1], axis=-1)
-            cnt_r = counts[:, None, None] - cnt_l
-        invalid = root["invalid"] = np.minimum(cnt_l, cnt_r) < state.min_samples_leaf
-    np.copyto(score, -np.inf, where=invalid)
+    if state.weighted:
+        hist_cnt = np.bincount(flat.ravel(), minlength=cells).reshape(shape)
+        cnt_l = np.cumsum(hist_cnt[..., :-1], axis=-1)
+        cnt_r = counts[:, None, None] - cnt_l
+    else:
+        cnt_l, cnt_r = tot_l, tot_r  # unit weights: totals are row counts
+    np.copyto(score, -np.inf, where=np.minimum(cnt_l, cnt_r) < state.min_samples_leaf)
 
     parent = _score_stats(totals.T, state)[0]
     flat_score = score.reshape(c_n, -1)

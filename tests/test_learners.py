@@ -490,8 +490,7 @@ def _tiny_weight_fits():
 def _integer_weight_fits():
     # Integer weights, with zeros and with min_samples_leaf = 3: a side's
     # weight total and its row count differ, and the leaf-size test must
-    # count rows. Only weights >= 1 with min_samples_leaf = 1 let the
-    # weight total stand in for the row count.
+    # count rows.
     fits = []
     for seed in range(6):
         rng = np.random.default_rng([32, seed])
@@ -570,8 +569,9 @@ def _random_fits(n_fits: int = 300):
 
 
 def _single_splittable_boost_fits():
-    # Boosting fits whose depth-1 frontier has one splittable node: the
-    # depth-0 work shared across a fit's trees must not be reused there.
+    # Boosting fits whose depth-1 frontier has one splittable node, which
+    # holds only some of the rows: work that the trees of a fit could share
+    # at depth 0 does not carry over to it.
     # Of 60 rows, at most one root child holds the 31 that gradient
     # boosting needs to split; AdaBoost's root splits off the six rows of
     # class 0, a pure child.
