@@ -6,12 +6,18 @@ Design-matrix file format (little-endian):
     | n*d float32 rows | n u8 label codes | n u8 subset codes
     | per slide: u16 id length + UTF-8 bytes
     | u32 CRC-32 over everything after the magic+version prefix
+
+`aggregate_design` is the one aggregation loop. In a pipeline run the
+extract stage drives it with the matrices it has just read or generated,
+so no cache is read twice; `build_design` drives it from the caches in a
+cache directory, for the stage commands that run without extract.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +25,8 @@ import numpy as np
 
 from .categories import Category, EffectiveSubset
 from .embeddings import CACHE_SUFFIX, EmbeddingMatrix, read_cache
-from .manifest import Manifest
+from .fileio import write_atomic
+from .manifest import Manifest, SlideMeta
 
 MAGIC = b"DMAT"
 VERSION = 1
@@ -78,18 +85,13 @@ def mean_aggregate(emb: EmbeddingMatrix) -> np.ndarray:
     return (acc / emb.m).astype(np.float32)
 
 
-def build_design(manifest: Manifest, cache_dir: str | Path, backend_name: str) -> DesignMatrix:
+def aggregate_design(manifest: Manifest, embed: Callable[[SlideMeta], EmbeddingMatrix]) -> DesignMatrix:
     """One aggregated row per manifest slide, in manifest order.
 
-    Reads `<cache_dir>/<backend_name>/<slide_id>.embc` for every slide.
+    `embed(meta)` supplies each slide's embedding matrix; it is called once
+    per slide, in manifest order, and the matrix is dropped once its row
+    is taken.
     """
-    directory = Path(cache_dir) / backend_name
-    missing = [m.file for m in manifest if not (directory / f"{m.file}{CACHE_SUFFIX}").exists()]
-    if missing:
-        raise DesignError(
-            f"missing embedding caches under {directory}: {', '.join(missing)}"
-        )
-
     rows = None
     labels = np.empty(len(manifest), dtype=np.uint8)
     subsets = np.empty(len(manifest), dtype=np.uint8)
@@ -97,8 +99,7 @@ def build_design(manifest: Manifest, cache_dir: str | Path, backend_name: str) -
     for i, meta in enumerate(manifest):
         if meta.effective is None:
             raise DesignError(f"slide {meta.file!r} has no effective subset; run effective_split first")
-        emb = read_cache(directory / f"{meta.file}{CACHE_SUFFIX}")
-        vec = mean_aggregate(emb)
+        vec = mean_aggregate(embed(meta))
         if rows is None:
             rows = np.empty((len(manifest), vec.shape[0]), dtype=np.float32)
         elif vec.shape[0] != rows.shape[1]:
@@ -112,6 +113,17 @@ def build_design(manifest: Manifest, cache_dir: str | Path, backend_name: str) -
         slide_ids.append(meta.file)
     assert rows is not None
     return DesignMatrix(rows, labels, subsets, slide_ids)
+
+
+def build_design(manifest: Manifest, cache_dir: str | Path, backend_name: str) -> DesignMatrix:
+    """`aggregate_design` over `<cache_dir>/<backend_name>/<slide_id>.embc`."""
+    directory = Path(cache_dir) / backend_name
+    missing = [m.file for m in manifest if not (directory / f"{m.file}{CACHE_SUFFIX}").exists()]
+    if missing:
+        raise DesignError(
+            f"missing embedding caches under {directory}: {', '.join(missing)}"
+        )
+    return aggregate_design(manifest, lambda meta: read_cache(directory / f"{meta.file}{CACHE_SUFFIX}"))
 
 
 def split_design(dm: DesignMatrix) -> tuple[DesignMatrix, DesignMatrix]:
@@ -136,8 +148,6 @@ def split_design(dm: DesignMatrix) -> tuple[DesignMatrix, DesignMatrix]:
 
 
 def save_design(dm: DesignMatrix, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     body = bytearray()
     body += struct.pack("<II", dm.n, dm.d)
     body += np.ascontiguousarray(dm.rows, dtype="<f4").tobytes()
@@ -148,11 +158,8 @@ def save_design(dm: DesignMatrix, path: str | Path) -> Path:
         if len(raw) > 0xFFFF:
             raise DesignError(f"slide id too long to serialize ({len(raw)} bytes)")
         body += struct.pack("<H", len(raw)) + raw
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<I", VERSION))
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF))
-    return path
+    crc = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    return write_atomic(path, (MAGIC + struct.pack("<I", VERSION), body, crc))
 
 
 def load_design(path: str | Path) -> DesignMatrix:

@@ -14,6 +14,11 @@ A cache file is only ever replaced, never rewritten in place: `write_cache`
 writes `<slide>.embc.tmp` and renames it over the final name. The extract
 stage relies on that when it hard-links a validated precomputed cache into
 the run's cache directory, since the link shares its inode with the source.
+
+The extract stage is the only pass over a run's embeddings: `extract`
+reads and validates each precomputed cache once (or generates the
+synthetic matrix), and the same in-memory matrix is linked or written into
+the cache directory and mean-aggregated into its design-matrix row.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .categories import Category, EffectiveSubset
+from .fileio import write_atomic
 from .manifest import Manifest
 
 MAGIC = b"EMBC"
@@ -138,11 +144,8 @@ def extract(
     label: Category,
     subset: EffectiveSubset,
     patch_count: int | None = None,
-    patches: list[np.ndarray] | None = None,
 ) -> EmbeddingMatrix:
     """Produce the slide's embedding matrix through the configured backend."""
-    if patches is not None:
-        patch_count = len(patches)
     if backend.kind == "synthetic":
         if patch_count is None or patch_count < 1:
             raise ValueError(f"slide {slide_id!r}: patch count must be >= 1")
@@ -151,10 +154,11 @@ def extract(
         data += class_mean(label, backend.dim, backend.class_separation, seed=backend.seed)
         return EmbeddingMatrix(slide_id, data.astype(np.float32), label, subset)
 
-    path = Path(backend.source_dir) / f"{slide_id}{CACHE_SUFFIX}"
-    if not path.exists():
-        raise CacheFormatError(f"missing embedding cache for slide {slide_id!r}: {path}")
-    emb = read_cache(path)
+    path = os.path.join(backend.source_dir, slide_id + CACHE_SUFFIX)
+    try:
+        emb = read_cache(path)
+    except FileNotFoundError:
+        raise CacheFormatError(f"missing embedding cache for slide {slide_id!r}: {path}") from None
     if emb.slide_id != slide_id:
         raise CacheFormatError(
             f"cache {path} holds slide {emb.slide_id!r}, expected {slide_id!r}"
@@ -173,11 +177,6 @@ def cache_path(directory: str | Path, slide_id: str) -> Path:
     return Path(directory) / f"{slide_id}{CACHE_SUFFIX}"
 
 
-def temp_path(path: Path) -> Path:
-    """Where a cache file is staged before it is renamed into place."""
-    return path.with_name(path.name + ".tmp")
-
-
 def write_cache(emb: EmbeddingMatrix, directory: str | Path) -> Path:
     """Write one slide's embeddings; returns the file path.
 
@@ -185,8 +184,6 @@ def write_cache(emb: EmbeddingMatrix, directory: str | Path) -> Path:
     a file already there (possibly a hard link to a precomputed source) is
     never opened for writing.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     sid = emb.slide_id.encode("utf-8")
     if len(sid) > 0xFFFF:
         raise CacheFormatError(f"slide id too long to serialize ({len(sid)} bytes)")
@@ -201,49 +198,54 @@ def write_cache(emb: EmbeddingMatrix, directory: str | Path) -> Path:
         + struct.pack("<BB", emb.label.value, emb.subset.value)
         + struct.pack("<II", emb.m, emb.d)
     )
-    path = cache_path(directory, emb.slide_id)
-    tmp = temp_path(path)
-    # A killed run may have left the temp name behind, even as a link.
-    tmp.unlink(missing_ok=True)
-    with open(tmp, "xb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-    os.replace(tmp, path)
-    return path
+    crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+    return write_atomic(cache_path(directory, emb.slide_id), (header, payload, crc))
+
+
+# Header fields after the slide id: label code, subset code, m, d.
+_FIELDS = struct.Struct("<BBII")
+
+
+def _truncated(path: str | Path, what: str) -> CacheFormatError:
+    return CacheFormatError(f"{path}: truncated {what}")
 
 
 def read_cache(path: str | Path) -> EmbeddingMatrix:
     """Read one `.embc` file, verifying structure and payload CRC."""
-    blob = Path(path).read_bytes()
-    off = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise CacheFormatError(f"{path}: truncated {what}")
-        chunk = blob[off : off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != MAGIC:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    size = len(blob)
+    if size < 4:
+        raise _truncated(path, "magic")
+    if blob[:4] != MAGIC:
         raise CacheFormatError(f"{path}: bad magic")
-    (version,) = struct.unpack("<I", take(4, "version"))
+    if size < 8:
+        raise _truncated(path, "version")
+    (version,) = struct.unpack_from("<I", blob, 4)
     if version != VERSION:
         raise CacheFormatError(f"{path}: unsupported version {version}")
-    (sid_len,) = struct.unpack("<H", take(2, "slide id length"))
-    slide_id = take(sid_len, "slide id").decode("utf-8")
-    label_code, subset_code = struct.unpack("<BB", take(2, "label/subset"))
-    m, d = struct.unpack("<II", take(8, "shape"))
+    if size < 10:
+        raise _truncated(path, "slide id length")
+    (sid_len,) = struct.unpack_from("<H", blob, 8)
+    off = 10 + sid_len
+    if size < off:
+        raise _truncated(path, "slide id")
+    slide_id = blob[10:off].decode("utf-8")
+    if size < off + 2:
+        raise _truncated(path, "label/subset")
+    if size < off + _FIELDS.size:
+        raise _truncated(path, "shape")
+    label_code, subset_code, m, d = _FIELDS.unpack_from(blob, off)
+    off += _FIELDS.size
     if m < 1 or d < 1:
         raise CacheFormatError(f"{path}: invalid shape ({m}, {d})")
-    n_bytes = m * d * 4
-    if n_bytes > len(blob) - off - 4:
-        raise CacheFormatError(f"{path}: truncated payload")
-    payload = take(n_bytes, "payload")
-    (crc_stored,) = struct.unpack("<I", take(4, "checksum"))
-    if off != len(blob):
-        raise CacheFormatError(f"{path}: {len(blob) - off} trailing bytes")
+    end = off + m * d * 4
+    if end > size - 4:
+        raise _truncated(path, "payload")
+    if end + 4 != size:
+        raise CacheFormatError(f"{path}: {size - end - 4} trailing bytes")
+    payload = memoryview(blob)[off:end]
+    (crc_stored,) = struct.unpack_from("<I", blob, end)
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise CacheFormatError(f"{path}: payload checksum mismatch")
     data = np.frombuffer(payload, dtype="<f4").reshape(m, d)

@@ -50,8 +50,3 @@ __all__ = [
     "grow_tree",
     "shared_bins",
 ]
-
-
-def train(spec: ClassifierSpec, X, y) -> BaseClassifier:
-    """Build and fit a classifier from its spec."""
-    return build_classifier(spec).fit(X, y)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..fileio import write_atomic
 from .base import BaseClassifier, ClassifierSpec
 from .bayes import NaiveBayes
 from .ensembles import AdaBoost, GradientBoosting, RandomForest
@@ -130,8 +131,6 @@ def _restore_state(model: BaseClassifier, extra: dict, arrays: dict[str, np.ndar
 
 
 def save_model(model: BaseClassifier, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     extra, arrays = _collect_state(model)
     meta = {
         "kind": model.spec.kind,
@@ -155,11 +154,8 @@ def save_model(model: BaseClassifier, path: str | Path) -> Path:
         body += struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim)
         body += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
         body += arr.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<I", VERSION))
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF))
-    return path
+    crc = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    return write_atomic(path, (MAGIC + struct.pack("<I", VERSION), body, crc))
 
 
 def load_model(path: str | Path) -> BaseClassifier:

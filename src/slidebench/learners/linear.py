@@ -35,16 +35,18 @@ def _logits(Xs: np.ndarray, W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
 
 def _loss(Z: np.ndarray, E: np.ndarray, Y: np.ndarray, W: np.ndarray, l2: float) -> float:
     log_norm = np.log(chan_sum(E.T))
-    ce = float(np.mean(log_norm - chan_sum((Z * Y).T)))
+    # numpy's mean is this reduction over the count, minus its wrapper.
+    ce = float(np.add.reduce(log_norm - chan_sum((Z * Y).T)) / Z.shape[0])
     return ce + 0.5 * l2 * float((W * W).sum())
 
 
 def _gradients(
     Xs: np.ndarray, Y: np.ndarray, P: np.ndarray, W: np.ndarray, l2: float
 ) -> tuple[np.ndarray, np.ndarray]:
+    n = Xs.shape[0]
     R = P - Y
-    gW = Xs.T @ R / Xs.shape[0] + l2 * W
-    gb = R.mean(axis=0)
+    gW = Xs.T @ R / n + l2 * W
+    gb = np.add.reduce(R, axis=0) / n
     return gW, gb
 
 

@@ -192,11 +192,16 @@ def _curve_difference(ranks_a: np.ndarray, ranks_b: np.ndarray, y: np.ndarray) -
     position-broken ranks `_first_ranks` would give them. All counts are
     integers, so the statistic is exact.
     """
+    # Counts and their differences stay within +-n, so below 2**15 cases
+    # they fit 16 bits, as the ranks do; only the sum needs 64.
+    count_type = np.int16 if y.shape[0] < 2**15 else np.int64
     pos_a = y[np.argsort(ranks_a, axis=-1, kind="stable")]
     pos_b = y[np.argsort(ranks_b, axis=-1, kind="stable")]
-    cum_a = np.cumsum(pos_a, axis=-1)[..., :-1]
-    cum_b = np.cumsum(pos_b, axis=-1)[..., :-1]
-    return 2.0 * np.abs(cum_a - cum_b).sum(axis=-1)
+    cum_a = np.cumsum(pos_a, axis=-1, dtype=count_type)[..., :-1]
+    cum_b = np.cumsum(pos_b, axis=-1, dtype=count_type)[..., :-1]
+    np.subtract(cum_a, cum_b, out=cum_a)
+    np.abs(cum_a, out=cum_a)
+    return 2.0 * cum_a.sum(axis=-1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -226,8 +231,11 @@ def venkatraman_test(ps: PairedScores, permutations: int = 2000, seed: int = 0) 
 
     rng = np.random.default_rng(seed)
     swap = rng.random((permutations, n)) < 0.5
-    perm_a = np.where(swap, ranks_b, ranks_a)
-    perm_b = np.where(swap, ranks_a, ranks_b)
+    # Integer arithmetic picks the same ranks as np.where(swap, ...), with
+    # no broadcast select per permutation row.
+    moved = swap * (ranks_b - ranks_a)
+    perm_a = ranks_a + moved
+    perm_b = ranks_b - moved
     perm_stats = _curve_difference(perm_a, perm_b, y)
     exceed = int(np.sum(perm_stats >= observed - 1e-12))
     p = (1.0 + exceed) / (permutations + 1.0)

@@ -18,8 +18,9 @@ import numpy as np
 
 from .categories import CLASSIFIED_CATEGORIES
 from .config import BackendConfig, RunConfig, derive_seed
-from .design import DesignMatrix, build_design, load_design, save_design, split_design
-from .embeddings import cache_path, extract, scan_cache, slide_rng, temp_path, write_cache
+from .design import DesignMatrix, aggregate_design, build_design, load_design, save_design, split_design
+from .embeddings import CACHE_SUFFIX, extract, scan_cache, slide_rng, write_cache
+from .fileio import TEMP_SUFFIX, write_atomic
 from .learners import (
     KIND_LABELS,
     TABLE_ORDER,
@@ -49,9 +50,6 @@ class StageError(RuntimeError):
 
 
 def _write_json(path: str | Path, obj) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-
     def convert(o):
         if isinstance(o, (np.floating, np.integer)):
             return o.item()
@@ -59,8 +57,8 @@ def _write_json(path: str | Path, obj) -> Path:
             return o.tolist()
         raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=convert) + "\n", encoding="utf-8")
-    return path
+    text = json.dumps(obj, sort_keys=True, indent=2, default=convert) + "\n"
+    return write_atomic(path, (text.encode("utf-8"),))
 
 
 # -- stages -------------------------------------------------------------------
@@ -76,17 +74,21 @@ def ingest_stage(cfg: RunConfig) -> Manifest:
     return kept
 
 
-def extract_stage(cfg: RunConfig, manifest: Manifest) -> None:
-    """Produce and cache embeddings for every backend and slide.
+def extract_stage(cfg: RunConfig, manifest: Manifest) -> dict[str, DesignMatrix]:
+    """Produce and cache embeddings for every backend and slide, and
+    mean-aggregate them into one design matrix per backend.
 
-    A precomputed cache is read and validated against the manifest, then
-    hard-linked into the cache directory: a cache `read_cache` accepts
-    re-encodes to the same bytes, so a link holds exactly what a copy would.
-    Where the filesystem refuses the link, the cache is written out instead.
+    This is the only pass over the embeddings: each slide's matrix is read
+    and validated (precomputed) or generated (synthetic) once, cached, and
+    aggregated from memory. A precomputed cache is hard-linked into the
+    cache directory: a cache `read_cache` accepts re-encodes to the same
+    bytes, so a link holds exactly what a copy would. Where the filesystem
+    refuses the link, the cache is written out instead.
     """
+    designs: dict[str, DesignMatrix] = {}
     for backend in cfg.backends:
         spec = backend.spec(cfg.seed)
-        directory = Path(cfg.cache_dir) / backend.name
+        directory = os.path.join(cfg.cache_dir, backend.name)
         if spec.kind == "precomputed":
             report = scan_cache(spec.source_dir, manifest)
             if report.missing:
@@ -95,23 +97,47 @@ def extract_stage(cfg: RunConfig, manifest: Manifest) -> None:
                     f"backend {backend.name!r}: {len(report.missing)} slide(s) missing "
                     f"from {spec.source_dir}: {', '.join(report.missing[:10])}",
                 )
-            directory.mkdir(parents=True, exist_ok=True)
-        for meta in manifest:
-            assert meta.effective is not None
-            # Precomputed caches carry their own patch counts.
-            m = patch_count(backend, spec.seed, meta.file) if spec.kind == "synthetic" else None
-            emb = extract(spec, meta.file, meta.category, meta.effective, patch_count=m)
-            source = cache_path(spec.source_dir, meta.file) if spec.kind == "precomputed" else None
-            if source is None or not _link_cache(source, directory):
+        os.makedirs(directory, exist_ok=True)
+        _remove_temp_files(directory)
+
+        def embed(meta):
+            if spec.kind == "synthetic":
+                m = patch_count(backend, spec.seed, meta.file)
+                emb = extract(spec, meta.file, meta.category, meta.effective, patch_count=m)
                 write_cache(emb, directory)
+                return emb
+            # Precomputed caches carry their own patch counts.
+            emb = extract(spec, meta.file, meta.category, meta.effective)
+            if not _link_cache(os.path.join(spec.source_dir, meta.file + CACHE_SUFFIX), directory):
+                write_cache(emb, directory)
+            return emb
+
+        designs[backend.name] = aggregate_design(manifest, embed)
+    return designs
 
 
-def _link_cache(source: Path, directory: Path) -> bool:
+def _remove_temp_files(directory: str) -> None:
+    """Drop the cache temp names a killed run left behind; one may be a
+    hard link to a source, so only the name goes."""
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            if entry.name.endswith(CACHE_SUFFIX + TEMP_SUFFIX):
+                os.unlink(entry.path)
+
+
+def _link_cache(source: str, directory: str) -> bool:
     """Hard-link `source` into `directory` under its own name; False when the
     filesystem cannot link it (another device, no link support, EMLINK)."""
-    dst = directory / source.name
-    tmp = temp_path(dst)
-    tmp.unlink(missing_ok=True)
+    dst = os.path.join(directory, os.path.basename(source))
+    try:
+        os.link(source, dst)
+        return True
+    except FileExistsError:
+        pass
+    except OSError:
+        return False
+    # An earlier run's cache holds the name: link beside it, rename over it.
+    tmp = dst + TEMP_SUFFIX
     try:
         os.link(source, tmp)
     except OSError:
@@ -119,7 +145,8 @@ def _link_cache(source: Path, directory: Path) -> bool:
     os.replace(tmp, dst)
     # rename() leaves both names alone when they already share an inode,
     # as on a rerun that links the same source again.
-    tmp.unlink(missing_ok=True)
+    if os.path.lexists(tmp):
+        os.unlink(tmp)
     return True
 
 
@@ -132,13 +159,16 @@ def patch_count(backend: BackendConfig, spec_seed: int, slide_id: str) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def aggregate_stage(cfg: RunConfig, manifest: Manifest) -> dict[str, DesignMatrix]:
-    """Mean-aggregate caches into one design matrix per backend."""
-    designs: dict[str, DesignMatrix] = {}
+def aggregate_stage(
+    cfg: RunConfig, manifest: Manifest, designs: dict[str, DesignMatrix] | None = None
+) -> dict[str, DesignMatrix]:
+    """Save one design matrix per backend: the extract stage's `designs`,
+    or, without them (stage commands run on their own), ones built from
+    the caches in `cache_dir`."""
+    if designs is None:
+        designs = {b.name: build_design(manifest, cfg.cache_dir, b.name) for b in cfg.backends}
     for backend in cfg.backends:
-        dm = build_design(manifest, cfg.cache_dir, backend.name)
-        save_design(dm, Path(cfg.out_dir) / backend.name / "design.dmat")
-        designs[backend.name] = dm
+        save_design(designs[backend.name], Path(cfg.out_dir) / backend.name / "design.dmat")
     return designs
 
 
@@ -606,10 +636,10 @@ def run_pipeline(cfg: RunConfig) -> Path:
         for cat in CLASSIFIED_CATEGORIES:
             tracker.track("ingest", f"slides_{cat.to_text()}", counts[cat])
 
-        run("extract", extract_stage, cfg, manifest)
+        designs = run("extract", extract_stage, cfg, manifest)
         tracker.track("extract", "backends_cached", len(cfg.backends))
 
-        designs = run("aggregate", aggregate_stage, cfg, manifest)
+        designs = run("aggregate", aggregate_stage, cfg, manifest, designs)
         for backend in cfg.backends:
             tracker.track("aggregate", f"{backend.name}/design_rows", designs[backend.name].n)
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_atomic
+
 WIDTH = 640
 HEIGHT = 480
 MARGIN_LEFT = 70
@@ -141,7 +143,4 @@ def _escape(text: str) -> str:
 
 
 def write_svg(content: str, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
-    return path
+    return write_atomic(path, (content.encode("utf-8"),))

@@ -1,5 +1,6 @@
 """Pipeline orchestration: stages, comparison, learning curve, CLI."""
 
+import collections
 import dataclasses
 import errno
 import functools
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import slidebench
+from slidebench import cli
 from slidebench.categories import Category, Subset
 from slidebench.config import BackendConfig, ConfigError, RunConfig, config_from_dict, load_config
 from slidebench.embeddings import BackendSpec, cache_path, extract, write_cache
@@ -179,7 +181,7 @@ class TestRunPipeline:
     def test_interrupt_marks_run_failed(self, tmp_path, monkeypatch):
         from slidebench import runner
 
-        def interrupted(cfg, manifest):
+        def interrupted(*args):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(runner, "aggregate_stage", interrupted)
@@ -190,19 +192,22 @@ class TestRunPipeline:
         assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "aggregate", "KeyboardInterrupt")
 
 
-def precomputed_config(tmp_path: Path) -> tuple[RunConfig, list[Path]]:
-    """A one-backend precomputed run over source caches written under
-    `tmp_path/source`; returns the config and the source files."""
+def precomputed_config(tmp_path: Path, names=("pre",)) -> tuple[RunConfig, list[Path]]:
+    """A run with one precomputed backend per name, over source caches
+    written under `tmp_path/source/<name>`; returns the config and the
+    source files."""
     cfg = small_config(tmp_path, seps=(1.2,), dims=(16,), classifiers=["knn", "naive_bayes"],
                        selected_classifier="knn")
-    source = tmp_path / "source"
-    spec = BackendSpec("synthetic", 16, seed=3, class_separation=1.2)
-    files = [
-        write_cache(extract(spec, meta.file, meta.category, meta.effective, patch_count=5), source)
-        for meta in ingest_stage(cfg)
-    ]
-    backend = BackendConfig(name="pre", kind="precomputed", dim=16, source_dir=str(source))
-    return dataclasses.replace(cfg, backends=[backend]), files
+    backends, files = [], []
+    for i, name in enumerate(names):
+        source = tmp_path / "source" / name
+        spec = BackendSpec("synthetic", 16, seed=3 + i, class_separation=1.2)
+        files += [
+            write_cache(extract(spec, meta.file, meta.category, meta.effective, patch_count=5), source)
+            for meta in ingest_stage(cfg)
+        ]
+        backends.append(BackendConfig(name=name, kind="precomputed", dim=16, source_dir=str(source)))
+    return dataclasses.replace(cfg, backends=backends), files
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -263,6 +268,40 @@ class TestPrecomputedPipeline:
         meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
         assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "extract", "CacheFormatError")
 
+    def test_each_source_read_once(self, tmp_path, monkeypatch):
+        from slidebench import design, embeddings
+
+        cfg, sources = precomputed_config(tmp_path, names=("pre", "alt"))
+        reads = collections.Counter()
+
+        def spy(read_cache):
+            def counted(path):
+                reads[Path(path)] += 1
+                return read_cache(path)
+            return counted
+
+        monkeypatch.setattr(embeddings, "read_cache", spy(embeddings.read_cache))
+        monkeypatch.setattr(design, "read_cache", spy(design.read_cache))
+        run_pipeline(cfg)
+        assert reads == {src: 1 for src in sources}
+
+    def test_source_deleted_after_scan_fails_extract(self, tmp_path, monkeypatch):
+        from slidebench import runner
+
+        cfg, sources = precomputed_config(tmp_path)
+        scan_cache = runner.scan_cache
+
+        def scan_then_delete(directory, manifest):
+            report = scan_cache(directory, manifest)
+            sources[5].unlink()
+            return report
+
+        monkeypatch.setattr(runner, "scan_cache", scan_then_delete)
+        with pytest.raises(StageError, match=r"\[extract\] missing embedding cache for slide"):
+            run_pipeline(cfg)
+        meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
+        assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "extract", "CacheFormatError")
+
     def test_leftover_temp_files(self, tmp_path):
         cfg, sources = precomputed_config(tmp_path)
         cache = Path(cfg.cache_dir) / "pre"
@@ -281,6 +320,25 @@ class TestPrecomputedPipeline:
         run_pipeline(cfg)
         cache = Path(cfg.cache_dir) / "pre"
         assert sorted(p.name for p in cache.iterdir()) == sorted(p.name for p in sources)
+
+
+class TestStageCommands:
+    @pytest.mark.parametrize("kind", ["synthetic", "precomputed"])
+    def test_aggregate_command_rebuilds_pipeline_design(self, tmp_path, kind):
+        # The pipeline aggregates the matrices extract holds in memory; the
+        # stage command reads them back from cache_dir. Same bytes.
+        if kind == "synthetic":
+            cfg = small_config(tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn")
+        else:
+            cfg, _ = precomputed_config(tmp_path, names=("pre", "alt"))
+        run_pipeline(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        rebuilt = tmp_path / "rebuilt"
+        assert cli.main(["aggregate", "--config", str(path), "--out-dir", str(rebuilt)]) == 0
+        for backend in cfg.backends:
+            ours = (Path(cfg.out_dir) / backend.name / "design.dmat").read_bytes()
+            assert (rebuilt / backend.name / "design.dmat").read_bytes() == ours
 
 
 class TestDeterminism:

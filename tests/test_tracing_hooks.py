@@ -4,6 +4,7 @@
 their owners' `__dict__`; a rename or removal would break that mode only.
 """
 
+import collections
 import importlib
 import sys
 from pathlib import Path
@@ -49,3 +50,15 @@ def test_grow_tree_spans_count_the_fitted_nodes(tracing):
     spans = [s.attrs["nodes"] for s in tracer.spans if s.name == "learners.grow_tree"]
     assert len(fitted) == 4 * 3
     assert spans == fitted
+
+
+def test_precomputed_run_reads_and_aggregates_each_slide_once(tracing, tmp_path):
+    from slidebench.runner import run_pipeline
+    from test_runner import precomputed_config
+
+    cfg, sources = precomputed_config(tmp_path, names=("pre", "alt"))
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer).installed():
+        run_pipeline(cfg)
+    spans = collections.Counter(s.name for s in tracer.spans)
+    assert spans["embeddings.read"] == spans["design.aggregate"] == len(sources)
