@@ -126,10 +126,6 @@ def _cmd_stagewise(args: argparse.Namespace) -> None:
         # and scored on the held-out test split.
         designs = aggregate_stage(cfg, manifest)
         results = train_evaluate_stage(cfg, designs)
-        from .runner import accuracy_table, f1_table
-
-        _write_json(Path(cfg.out_dir) / "accuracy_table.json", accuracy_table(cfg, results))
-        _write_json(Path(cfg.out_dir) / "f1_table.json", f1_table(cfg, results))
         for (backend, kind), res in sorted(results.items()):
             print(f"{backend}/{kind}: cv={res.best_cv_accuracy:.3f} test={res.report.accuracy:.3f}")
     elif args.command == "compare":

@@ -156,6 +156,26 @@ def normalize_rows(p: np.ndarray) -> np.ndarray:
     return np.where(s > 0, p / np.where(s > 0, s, 1.0), uniform)
 
 
+def staged_results(members, stages, add, result) -> list:
+    """`result(t)` after `add(member)` has taken the first t members, for
+    each t in `stages` (capped at the member count), in the order
+    requested. Each member is added once, in member order, so a stage's
+    result does not depend on which other stages are requested.
+    """
+    if any(t < 0 for t in stages):
+        raise ValueError("stages must be >= 0")
+    n = len(members)
+    out: list = [None] * len(stages)
+    added = 0
+    for i in sorted(range(len(stages)), key=lambda i: stages[i]):
+        t = min(stages[i], n)
+        for member in members[added:t]:
+            add(member)
+        added = t
+        out[i] = result(t)
+    return out
+
+
 @dataclass
 class Standardizer:
     """Train-set per-feature standardization, stored as part of the model."""
@@ -184,6 +204,8 @@ class BaseClassifier:
     def __init__(self, spec: ClassifierSpec):
         self.spec = spec
         self.classes_: np.ndarray | None = None
+        # Feature count; `fit` sets it last, so it also marks a fitted model.
+        self._d: int | None = None
 
     @property
     def kind(self) -> str:
@@ -200,10 +222,12 @@ class BaseClassifier:
         assert self.classes_ is not None
         return self.classes_[np.argmax(proba, axis=1)]
 
-    def _check_predict_input(self, X: np.ndarray, d: int) -> np.ndarray:
+    def _check_predict_input(self, X: np.ndarray) -> np.ndarray:
+        if self._d is None:
+            raise ValueError("classifier is not fitted")
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != d:
-            raise ValueError(f"expected (n, {d}) feature matrix, got shape {X.shape}")
+        if X.ndim != 2 or X.shape[1] != self._d:
+            raise ValueError(f"expected (n, {self._d}) feature matrix, got shape {X.shape}")
         return X
 
     def _encode(self, y: np.ndarray) -> np.ndarray:

@@ -34,9 +34,7 @@ class NaiveBayes(BaseClassifier):
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.classes_ is None:
-            raise ValueError("classifier is not fitted")
-        X = self._check_predict_input(X, self._d)
+        X = self._check_predict_input(X)
         # Log joint per class, normalized through logsumexp.
         log_joint = np.empty((X.shape[0], len(self.classes_)))
         for c in range(len(self.classes_)):

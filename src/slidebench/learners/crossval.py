@@ -9,6 +9,11 @@ total; `max_depth` for decision trees (None deepest), which is exact
 because trees grow level-wise and a node's split and value depend only on
 its own rows; and `k` for nearest neighbors, which is exact because every
 k votes over a prefix of the same stable distance order.
+
+`staged_proba` returns one result per requested stage, in the order
+requested (repeats included), and each equals `predict_proba` of a fit
+with that stage value byte for byte: `predict_proba` is itself the
+fitted stage of `staged_proba`, so both run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .factory import build_classifier
 @dataclass(frozen=True)
 class CvPlan:
     n_folds: int = 5
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -40,10 +44,6 @@ def stratified_folds(y: np.ndarray, plan: CvPlan) -> np.ndarray:
         raise ValueError(f"cannot make {plan.n_folds} folds from {n} rows")
     rng = np.random.default_rng(plan.seed)
     folds = np.empty(n, dtype=np.int64)
-    if not plan.stratified:
-        order = rng.permutation(n)
-        folds[order] = np.arange(n) % plan.n_folds
-        return folds
     for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
         if idx.size < plan.n_folds:

@@ -4,6 +4,11 @@ All three share the binned tree engine. Member models are seeded
 independently (forest) or grown sequentially (boosting), so an ensemble
 truncated to its first t members is identical to one fit with
 n_estimators=t; cross-validation exploits this for staged evaluation.
+
+Each ensemble has one probability path: `staged_proba` walks the members
+once through `staged_results`, returning one result per requested stage
+in the order requested, and `predict_proba` is its stage at the fitted
+member count, so both run the same additions in the same order.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from .base import (
     normalize_rows,
     one_hot,
     softmax,
+    staged_results,
 )
-from .trees import DEFAULT_MAX_BINS, FittedTree, TreeParams, bin_features, grow_tree
+from .trees import FittedTree, grow_tree, tree_setup
 
 # Smallest usable weighted error / hessian in boosting updates.
 _EPS = 1e-12
@@ -46,13 +52,11 @@ class RandomForest(BaseClassifier):
         k = len(self.classes_)
         n_estimators = self.spec.params.get("n_estimators", 100)
         bootstrap = self.spec.params.get("bootstrap", True)
-        params = TreeParams(
+        table, params = tree_setup(
+            self.spec, X,
             max_depth=self.spec.params.get("max_depth"),
-            min_samples_split=self.spec.params.get("min_samples_split", 2),
-            min_samples_leaf=self.spec.params.get("min_samples_leaf", 1),
             max_features=self._resolve_max_features(d),
         )
-        table = bin_features(X, self.spec.params.get("max_bins", DEFAULT_MAX_BINS))
         self.trees_ = []
         for t in range(n_estimators):
             rng = np.random.default_rng(np.random.SeedSequence([self.spec.seed & 0xFFFFFFFF, t]))
@@ -72,34 +76,17 @@ class RandomForest(BaseClassifier):
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        self._require_fitted()
-        X = self._check_predict_input(X, self._d)
-        acc = np.zeros((X.shape[0], len(self.classes_)))
-        for tree in self.trees_:
-            acc += tree.predict_value(X)
-        return normalize_rows(acc / len(self.trees_))
+        return self.staged_proba(X, [len(self.trees_)])[0]
 
     def staged_proba(self, X: np.ndarray, stages: list[int]) -> list[np.ndarray]:
         """Probabilities using only the first t trees, for each t in stages."""
-        self._require_fitted()
-        X = self._check_predict_input(X, self._d)
+        X = self._check_predict_input(X)
         acc = np.zeros((X.shape[0], len(self.classes_)))
-        out = []
-        stage_iter = iter(sorted(stages))
-        target = next(stage_iter, None)
-        for t, tree in enumerate(self.trees_, start=1):
-            acc += tree.predict_value(X)
-            while target is not None and t == min(target, len(self.trees_)):
-                out.append(normalize_rows(acc / t))
-                target = next(stage_iter, None)
-        while target is not None:
-            out.append(normalize_rows(acc / len(self.trees_)))
-            target = next(stage_iter, None)
-        return out
 
-    def _require_fitted(self) -> None:
-        if not self.trees_:
-            raise ValueError("classifier is not fitted")
+        def add(tree: FittedTree) -> None:
+            np.add(acc, tree.predict_value(X), out=acc)
+
+        return staged_results(self.trees_, stages, add, lambda t: normalize_rows(acc / t))
 
 
 class GradientBoosting(BaseClassifier):
@@ -122,12 +109,7 @@ class GradientBoosting(BaseClassifier):
         k = len(self.classes_)
         n_rounds = self.spec.params.get("n_estimators", 100)
         lr = self.spec.params.get("learning_rate", 0.1)
-        params = TreeParams(
-            max_depth=self.spec.params.get("max_depth", 2),
-            min_samples_split=self.spec.params.get("min_samples_split", 2),
-            min_samples_leaf=self.spec.params.get("min_samples_leaf", 1),
-        )
-        table = bin_features(X, self.spec.params.get("max_bins", DEFAULT_MAX_BINS))
+        table, params = tree_setup(self.spec, X, max_depth=self.spec.params.get("max_depth", 2))
         Y = one_hot(codes, k)
         F = np.zeros((n, k))
         self.rounds_ = []
@@ -151,42 +133,20 @@ class GradientBoosting(BaseClassifier):
         self._d = d
         return self
 
-    def _scores(self, X: np.ndarray, n_rounds: int | None = None) -> np.ndarray:
-        k = len(self.classes_)
-        lr = self.spec.params.get("learning_rate", 0.1)
-        F = np.zeros((X.shape[0], k))
-        use = self.rounds_ if n_rounds is None else self.rounds_[:n_rounds]
-        for stage in use:
-            for c, tree in enumerate(stage):
-                F[:, c] += lr * tree.predict_value(X)[:, 0]
-        return F
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self.rounds_:
-            raise ValueError("classifier is not fitted")
-        X = self._check_predict_input(X, self._d)
-        return softmax(self._scores(X))
+        return self.staged_proba(X, [len(self.rounds_)])[0]
 
     def staged_proba(self, X: np.ndarray, stages: list[int]) -> list[np.ndarray]:
-        if not self.rounds_:
-            raise ValueError("classifier is not fitted")
-        X = self._check_predict_input(X, self._d)
-        k = len(self.classes_)
+        """Probabilities using only the first t rounds, for each t in stages."""
+        X = self._check_predict_input(X)
         lr = self.spec.params.get("learning_rate", 0.1)
-        F = np.zeros((X.shape[0], k))
-        out = []
-        stage_iter = iter(sorted(stages))
-        target = next(stage_iter, None)
-        for t, stage in enumerate(self.rounds_, start=1):
+        F = np.zeros((X.shape[0], len(self.classes_)))
+
+        def add(stage: list[FittedTree]) -> None:
             for c, tree in enumerate(stage):
                 F[:, c] += lr * tree.predict_value(X)[:, 0]
-            while target is not None and t == min(target, len(self.rounds_)):
-                out.append(softmax(F))
-                target = next(stage_iter, None)
-        while target is not None:
-            out.append(softmax(F))
-            target = next(stage_iter, None)
-        return out
+
+        return staged_results(self.rounds_, stages, add, lambda t: softmax(F))
 
 
 def _cross_entropy(P: np.ndarray, codes: np.ndarray) -> float:
@@ -212,9 +172,7 @@ class AdaBoost(BaseClassifier):
         n, d = X.shape
         k = len(self.classes_)
         n_estimators = self.spec.params.get("n_estimators", 100)
-        depth = self.spec.params.get("base_depth", 1)
-        params = TreeParams(max_depth=depth)
-        table = bin_features(X, self.spec.params.get("max_bins", DEFAULT_MAX_BINS))
+        table, params = tree_setup(self.spec, X, max_depth=self.spec.params.get("base_depth", 1))
         w = np.full(n, 1.0 / n)
         self.trees_ = []
         self.alphas_ = []
@@ -242,22 +200,18 @@ class AdaBoost(BaseClassifier):
         self._d = d
         return self
 
-    def _votes(self, X: np.ndarray, n_members: int | None = None) -> np.ndarray:
-        votes = np.zeros((X.shape[0], len(self.classes_)))
-        use = len(self.trees_) if n_members is None else min(n_members, len(self.trees_))
-        for tree, alpha in zip(self.trees_[:use], self.alphas_[:use]):
-            pred = np.argmax(tree.predict_value(X), axis=1)
-            votes[np.arange(X.shape[0]), pred] += alpha
-        return votes
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.classes_ is None:
-            raise ValueError("classifier is not fitted")
-        X = self._check_predict_input(X, self._d)
-        return normalize_rows(self._votes(X))
+        return self.staged_proba(X, [len(self.trees_)])[0]
 
     def staged_proba(self, X: np.ndarray, stages: list[int]) -> list[np.ndarray]:
-        if self.classes_ is None:
-            raise ValueError("classifier is not fitted")
-        X = self._check_predict_input(X, self._d)
-        return [normalize_rows(self._votes(X, t)) for t in stages]
+        """Vote fractions of the first t learners, for each t in stages."""
+        X = self._check_predict_input(X)
+        votes = np.zeros((X.shape[0], len(self.classes_)))
+        rows = np.arange(X.shape[0])
+
+        def add(member: tuple[FittedTree, float]) -> None:
+            tree, alpha = member
+            votes[rows, np.argmax(tree.predict_value(X), axis=1)] += alpha
+
+        members = list(zip(self.trees_, self.alphas_))
+        return staged_results(members, stages, add, lambda t: normalize_rows(votes))

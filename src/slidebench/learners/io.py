@@ -104,6 +104,7 @@ def _restore_state(model: BaseClassifier, extra: dict, arrays: dict[str, np.ndar
         model._X = arrays["X"]
         model._codes = arrays["codes"]
         model._sq = (model._X * model._X).sum(axis=1)
+        model._d = model._X.shape[1]
     elif isinstance(model, NaiveBayes):
         model.priors_ = arrays["priors"]
         model.means_ = arrays["means"]

@@ -128,7 +128,5 @@ class LogisticRegression(BaseClassifier):
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.W_ is None or self.scaler_ is None:
-            raise ValueError("classifier is not fitted")
-        X = self._check_predict_input(X, self._d)
+        X = self._check_predict_input(X)
         return softmax(self.scaler_.transform(X) @ self.W_ + self.b_)

@@ -20,6 +20,7 @@ class KNearestNeighbor(BaseClassifier):
         self._codes = self._encode(y)
         self._X = X
         self._sq = (X * X).sum(axis=1)
+        self._d = X.shape[1]
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -28,9 +29,7 @@ class KNearestNeighbor(BaseClassifier):
     def staged_proba(self, X: np.ndarray, ks: list[int]) -> list[np.ndarray]:
         """Vote fractions for each k in `ks`, from one distance computation
         and one sort; each equals `predict_proba` of a fit with that k."""
-        if self.classes_ is None:
-            raise ValueError("classifier is not fitted")
-        X = self._check_predict_input(X, self._X.shape[1])
+        X = self._check_predict_input(X)
         n = self._X.shape[0]
         ks = [min(int(k), n) for k in ks]
         d2 = self._sq[None, :] - 2.0 * (X @ self._X.T) + (X * X).sum(axis=1)[:, None]

@@ -166,6 +166,19 @@ class TreeParams:
     max_features: int | None = None  # per-split feature subsample; None = all
 
 
+def tree_setup(spec: ClassifierSpec, X: np.ndarray, **fixed) -> tuple[BinTable, TreeParams]:
+    """The binned X and the engine settings of a tree learner: the spec's
+    `min_samples_split`, `min_samples_leaf` and `max_bins` (engine defaults
+    where absent) plus the learner's own `TreeParams` fields in `fixed`."""
+    p = spec.params
+    params = TreeParams(
+        min_samples_split=p.get("min_samples_split", 2),
+        min_samples_leaf=p.get("min_samples_leaf", 1),
+        **fixed,
+    )
+    return bin_features(X, p.get("max_bins", DEFAULT_MAX_BINS)), params
+
+
 @dataclass
 class FittedTree:
     """Flat node arrays; feature < 0 marks a leaf."""
@@ -544,26 +557,16 @@ class DecisionTree(BaseClassifier):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         X, y = check_training_inputs(X, y)
         codes = self._encode(y)
-        params = TreeParams(
-            max_depth=self.spec.params.get("max_depth"),
-            min_samples_split=self.spec.params.get("min_samples_split", 2),
-            min_samples_leaf=self.spec.params.get("min_samples_leaf", 1),
-        )
-        table = bin_features(X, self.spec.params.get("max_bins", DEFAULT_MAX_BINS))
+        table, params = tree_setup(self.spec, X, max_depth=self.spec.params.get("max_depth"))
         self.tree_, _ = grow_tree(table, "gini", codes, params, n_classes=len(self.classes_))
         self._d = X.shape[1]
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.tree_ is None:
-            raise ValueError("classifier is not fitted")
-        X = self._check_predict_input(X, self._d)
-        return normalize_rows(self.tree_.predict_value(X))
+        return self.staged_proba(X, [None])[0]
 
     def staged_proba(self, X: np.ndarray, depths: list[int | None]) -> list[np.ndarray]:
         """Probabilities of this tree cut at each depth (None: uncut), which
         equal those of a tree fit with that `max_depth` up to the fitted one."""
-        if self.tree_ is None:
-            raise ValueError("classifier is not fitted")
-        X = self._check_predict_input(X, self._d)
+        X = self._check_predict_input(X)
         return [normalize_rows(self.tree_.value[self.tree_.apply(X, depth)]) for depth in depths]

@@ -138,7 +138,10 @@ def roc_curve(y_true: np.ndarray, scores: np.ndarray) -> RocCurve:
 
 def auroc(y_true: np.ndarray, scores: np.ndarray) -> float:
     """Trapezoidal area under the ROC curve."""
-    curve = roc_curve(y_true, scores)
+    return _area(roc_curve(y_true, scores))
+
+
+def _area(curve: RocCurve) -> float:
     dx = np.diff(curve.fpr)
     mid_y = (curve.tpr[1:] + curve.tpr[:-1]) / 2.0
     return float(np.sum(dx * mid_y))
@@ -236,9 +239,9 @@ def classification_report(
 
         binary = y_true == c
         if binary.any() and not binary.all():
-            cls_auroc = auroc(binary, proba[:, c])
-            aurocs.append(cls_auroc)
             roc_curves[names[c]] = roc_curve(binary, proba[:, c])
+            cls_auroc = _area(roc_curves[names[c]])
+            aurocs.append(cls_auroc)
             pr_curves[names[c]] = pr_curve(binary, proba[:, c])
         else:
             cls_auroc = None

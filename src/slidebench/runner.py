@@ -201,7 +201,7 @@ def _set_stage_data(data: dict[str, tuple]) -> None:
 def _fit_one(args: tuple) -> FitResult:
     backend_name, kind, grid, cv_folds, cv_seed = args
     rows_tr, y_tr, rows_te, y_te, ids_te = _stage_data[backend_name]
-    plan = CvPlan(n_folds=cv_folds, stratified=True, seed=cv_seed)
+    plan = CvPlan(n_folds=cv_folds, seed=cv_seed)
     cv = cross_validate(grid, rows_tr, y_tr, plan)
     model = build_classifier(cv.best_spec).fit(rows_tr, y_tr)
     proba = model.predict_proba(rows_te)
@@ -225,7 +225,8 @@ def _fit_one(args: tuple) -> FitResult:
 def train_evaluate_stage(
     cfg: RunConfig, designs: dict[str, DesignMatrix], tracker: Tracker | None = None
 ) -> dict[tuple[str, str], FitResult]:
-    """Cross-validate, fit, and evaluate every (backend, classifier) pair."""
+    """Cross-validate, fit, and evaluate every (backend, classifier) pair,
+    then write the accuracy and F1 tables over all of them."""
     data: dict[str, tuple] = {}
     tasks = []
     for backend in cfg.backends:
@@ -288,6 +289,8 @@ def train_evaluate_stage(
         if tracker is not None:
             tracker.track("train", f"{res.backend}/{res.kind}/cv_accuracy", res.best_cv_accuracy)
             tracker.track("evaluate", f"{res.backend}/{res.kind}/test_accuracy", res.report.accuracy)
+    _write_json(Path(cfg.out_dir) / "accuracy_table.json", accuracy_table(cfg, results))
+    _write_json(Path(cfg.out_dir) / "f1_table.json", f1_table(cfg, results))
     return results
 
 
@@ -643,10 +646,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         for backend in cfg.backends:
             tracker.track("aggregate", f"{backend.name}/design_rows", designs[backend.name].n)
 
-        results = run("train", train_evaluate_stage, cfg, designs, tracker)
-
-        _write_json(out / "accuracy_table.json", accuracy_table(cfg, results))
-        _write_json(out / "f1_table.json", f1_table(cfg, results))
+        run("train", train_evaluate_stage, cfg, designs, tracker)
 
         comparison = run("compare", compare_stage, cfg)
         if comparison is not None:

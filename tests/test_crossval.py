@@ -42,13 +42,6 @@ class TestStratifiedFolds:
         b = stratified_folds(y, CvPlan(seed=9))
         np.testing.assert_array_equal(a, b)
 
-    def test_unstratified_partition(self):
-        y = np.arange(23) % 3
-        folds = stratified_folds(y, CvPlan(n_folds=4, stratified=False, seed=2))
-        sizes = np.bincount(folds, minlength=4)
-        assert sizes.sum() == 23
-        assert max(sizes) - min(sizes) <= 1
-
 
 class TestCrossValidate:
     def test_single_spec_returned(self):

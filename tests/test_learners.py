@@ -31,6 +31,20 @@ ALL_PARAMS = {
 }
 
 
+# Kind -> (staged parameter, stage values whose last is the fitted one).
+STAGED = {
+    "random_forest": ("n_estimators", [9, 24]),
+    "gradient_boosting": ("n_estimators", [9, 24]),
+    "adaboost": ("n_estimators", [9, 24]),
+    "decision_tree": ("max_depth", [1, 2, 3, None]),
+    "knn": ("k", [1, 4, 9]),
+}
+
+
+def _fit(kind, X, y, **params):
+    return build_classifier(ClassifierSpec(kind, params=params, seed=9)).fit(X, y)
+
+
 @pytest.fixture(scope="module")
 def blob_data():
     X, y = make_blobs([30, 40, 50], d=10, sep=4.0, seed=0)
@@ -811,14 +825,67 @@ class TestEnsembles:
         assert 1 <= len(model.trees_) <= 50
         assert np.mean(model.predict(X) == y) > 0.9
 
-    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting", "adaboost"])
+    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting", "adaboost", "decision_tree"])
     def test_staged_prefix_equals_cold_fit(self, kind, blob_data):
         X, y, Xt, _ = blob_data
-        big = build_classifier(ClassifierSpec(kind, params={"n_estimators": 24}, seed=9)).fit(X, y)
-        small = build_classifier(ClassifierSpec(kind, params={"n_estimators": 9}, seed=9)).fit(X, y)
-        staged = big.staged_proba(Xt, [9, 24])
-        np.testing.assert_allclose(staged[0], small.predict_proba(Xt), atol=1e-12)
-        np.testing.assert_allclose(staged[1], big.predict_proba(Xt), atol=1e-12)
+        name, values = STAGED[kind]
+        staged = _fit(kind, X, y, **{name: values[-1]}).staged_proba(Xt, values)
+        for value, proba in zip(values, staged):
+            cold = _fit(kind, X, y, **{name: value}).predict_proba(Xt)
+            assert proba.tobytes() == cold.tobytes(), value
+
+    @pytest.mark.parametrize("kind", sorted(STAGED))
+    def test_staged_results_follow_the_requested_order(self, kind, blob_data):
+        X, y, Xt, _ = blob_data
+        name, values = STAGED[kind]
+        model = _fit(kind, X, y, **{name: values[-1]})
+        alone = {repr(v): model.staged_proba(Xt, [v])[0].tobytes() for v in values}
+        assert len(set(alone.values())) == len(values)
+        for request in (values[::-1], [values[1], values[0], values[1], values[-1], values[0]]):
+            got = model.staged_proba(Xt, request)
+            assert [p.tobytes() for p in got] == [alone[repr(v)] for v in request], request
+
+    @pytest.mark.parametrize("kind", ["random_forest", "gradient_boosting", "adaboost"])
+    def test_staged_proba_walks_each_member_once(self, kind, blob_data, monkeypatch):
+        X, y, Xt, _ = blob_data
+        model = _fit(kind, X, y, n_estimators=24)
+        n_trees = sum(len(r) for r in model.rounds_) if kind == "gradient_boosting" else len(model.trees_)
+        walks = []
+        walk = trees.FittedTree.predict_value
+        monkeypatch.setattr(trees.FittedTree, "predict_value", lambda t, Q: walks.append(t) or walk(t, Q))
+        model.staged_proba(Xt, [24, 3, 9, 9])
+        assert len(walks) == n_trees
+        assert len({id(t) for t in walks}) == n_trees
+
+    def test_negative_stage_rejected(self, blob_data):
+        X, y, Xt, _ = blob_data
+        with pytest.raises(ValueError, match="stages must be >= 0"):
+            _fit("random_forest", X, y, n_estimators=3).staged_proba(Xt, [2, -1])
+
+    @pytest.mark.parametrize("kind", sorted(STAGED))
+    def test_predict_proba_is_the_fitted_stage_after_reload(self, kind, tmp_path, blob_data):
+        X, y, Xt, _ = blob_data
+        name, values = STAGED[kind]
+        model = load_model(save_model(_fit(kind, X, y, **{name: values[-1]}), tmp_path / "m.modl"))
+        assert model.predict_proba(Xt).tobytes() == model.staged_proba(Xt, values)[-1].tobytes()
+
+    def test_predict_proba_is_the_fitted_stage_after_early_stop(self, blob_data):
+        X, y, Xt, _ = blob_data
+        model = _fit("adaboost", X, y, n_estimators=50, base_depth=3)
+        fitted = len(model.trees_)
+        assert fitted < 50
+        proba = model.predict_proba(Xt).tobytes()
+        staged = model.staged_proba(Xt, [50, fitted, fitted + 1])
+        assert [p.tobytes() for p in staged] == [proba] * 3
+
+    def test_adaboost_honours_min_samples_leaf(self, blob_data):
+        X, y, _, _ = blob_data
+        plain = _fit("adaboost", X, y, n_estimators=5, base_depth=2)
+        model = _fit("adaboost", X, y, n_estimators=5, base_depth=2, min_samples_leaf=40)
+        assert [t.threshold.tobytes() for t in model.trees_] != [t.threshold.tobytes() for t in plain.trees_]
+        for tree in model.trees_:
+            rows = np.bincount(tree.apply(X), minlength=tree.n_nodes)
+            assert rows[tree.feature < 0].min() >= 40
 
 
 class TestSerialization:

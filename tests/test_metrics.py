@@ -247,3 +247,13 @@ class TestConfusionMatrix:
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
             confusion_matrix([0, 1], [0])
+
+    def test_per_class_auroc_is_the_area_of_its_roc_curve(self):
+        rng = np.random.default_rng(7)
+        y = rng.integers(0, 3, 40)
+        proba = np.round(rng.random((40, 3)), 1)  # ties between scores
+        report = classification_report(y, proba)
+        for c, name in enumerate(("basaloid", "melanocytic", "squamous")):
+            assert report.per_class[name].auroc == auroc(y == c, proba[:, c])
+            curve = report.roc_curves[name]
+            np.testing.assert_array_equal(curve.fpr, roc_curve(y == c, proba[:, c]).fpr)

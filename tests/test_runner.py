@@ -682,6 +682,7 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert (out / "bk0" / "models" / "knn.modl").exists()
         assert (out / "accuracy_table.json").exists()
+        assert (out / "f1_table.json").exists()
 
         res = self.run_cli("compare", "--config", str(path))
         assert res.returncode == 0, res.stderr
