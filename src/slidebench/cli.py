@@ -1,8 +1,10 @@
 """Command-line interface for the benchmarking pipeline.
 
-Subcommands mirror the pipeline stages; `run` chains them all. Flags
-override config-file values. Exit code 0 on success, 2 on any failure,
-with a stage-tagged message on stderr.
+`run` executes every pipeline stage. Each stage command runs ingest plus
+the stages that command needs (`_STAGE_COMMANDS`) through the same
+`run_pipeline` call, so it too writes `run_meta.json` and appends to
+`events.jsonl`. Flags override config-file values. Exit code 0 on
+success, 2 on any failure, with a stage-tagged message on stderr.
 """
 
 from __future__ import annotations
@@ -17,19 +19,19 @@ from .config import ConfigError, RunConfig, derive_seed, load_config
 from .fixture import paper_manifest
 from .learners import ClassifierSpec, KINDS
 from .manifest import category_counts, effective_split, filter_categories, parse_manifest, write_manifest
-from .runner import (
-    StageError,
-    aggregate_stage,
-    compare_stage,
-    emit_curve_plot,
-    extract_stage,
-    ingest_stage,
-    learning_curve,
-    plot_stage,
-    run_pipeline,
-    train_evaluate_stage,
-    _write_json,
-)
+from .runner import STAGES, StageError, emit_curve_plot, learning_curve, run_pipeline, _write_json
+
+# Subcommand -> (help, the stages of `run_pipeline` it runs). `train` and
+# `evaluate` are one pass: models are fit, saved and scored on the test split.
+_STAGE_COMMANDS = {
+    "extract": ("compute and cache embeddings for every backend", ("ingest", "extract")),
+    "aggregate": ("aggregate caches into design matrices", ("ingest", "aggregate")),
+    "train": ("cross-validate and train all configured classifiers", ("ingest", "aggregate", "train")),
+    "evaluate": ("evaluate trained models on the test split", ("ingest", "aggregate", "train")),
+    "compare": ("run the paired statistical comparison of two backends", ("ingest", "compare")),
+    "plot": ("regenerate SVG plots from report files", ("ingest", "plot")),
+    "run": ("execute the full pipeline end to end", STAGES),
+}
 
 
 def _add_config_arg(sub: argparse.ArgumentParser) -> None:
@@ -63,15 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--delimiter", default=",")
 
-    for name, help_text in (
-        ("extract", "compute and cache embeddings for every backend"),
-        ("aggregate", "aggregate caches into design matrices"),
-        ("train", "cross-validate and train all configured classifiers"),
-        ("evaluate", "evaluate trained models on the test split"),
-        ("compare", "run the paired statistical comparison of two backends"),
-        ("plot", "regenerate SVG plots from report files"),
-        ("run", "execute the full pipeline end to end"),
-    ):
+    for name, (help_text, _stages) in _STAGE_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_config_arg(p)
 
@@ -109,34 +103,10 @@ def _cmd_ingest(args: argparse.Namespace) -> None:
 
 def _cmd_stagewise(args: argparse.Namespace) -> None:
     cfg = _load(args)
-    if args.command == "run":
-        out = run_pipeline(cfg)
-        print(f"run complete: {out}")
-        return
-    manifest = ingest_stage(cfg)
-    if args.command == "extract":
-        extract_stage(cfg, manifest)
-        print(f"cached embeddings for {len(manifest)} slides x {len(cfg.backends)} backend(s)")
-    elif args.command == "aggregate":
-        designs = aggregate_stage(cfg, manifest)
-        for name, dm in designs.items():
-            print(f"{name}: design matrix [{dm.n}, {dm.d}]")
-    elif args.command in ("train", "evaluate"):
-        # Training and evaluation share one pass: models are fit, saved,
-        # and scored on the held-out test split.
-        designs = aggregate_stage(cfg, manifest)
-        results = train_evaluate_stage(cfg, designs)
-        for (backend, kind), res in sorted(results.items()):
-            print(f"{backend}/{kind}: cv={res.best_cv_accuracy:.3f} test={res.report.accuracy:.3f}")
-    elif args.command == "compare":
-        doc = compare_stage(cfg)
-        if doc is None:
-            raise StageError("compare", "comparison requires exactly two configured backends")
-        print(json.dumps(doc["paired_ttest"], sort_keys=True))
-        print(f"comparison written to {Path(cfg.out_dir) / 'comparison.json'}")
-    elif args.command == "plot":
-        written = plot_stage(cfg)
-        print(f"wrote {len(written)} plot file(s)")
+    if args.command == "compare" and len(cfg.backends) != 2:
+        raise StageError("compare", "comparison requires exactly two configured backends")
+    out = run_pipeline(cfg, _STAGE_COMMANDS[args.command][1])
+    print(f"{args.command} complete: {out}")
 
 
 def _cmd_learning_curve(args: argparse.Namespace) -> None:

@@ -119,6 +119,9 @@ class RunConfig:
             raise ConfigError("learning_curve_repeats must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if not self.tracker_jsonl or not is_path_component(self.tracker_jsonl):
+            # The event log is written at `<out_dir>/<tracker_jsonl>`.
+            raise ConfigError(f"tracker_jsonl {self.tracker_jsonl!r} is not a plain name")
         self._check_grids()
 
     def _check_grids(self) -> None:

@@ -1,7 +1,8 @@
 """Experiment orchestration: the end-to-end pipeline and its stages.
 
-Stages run in sequence (ingest, extract, aggregate, train, evaluate,
-compare, plot); each tags its failures so the CLI can report which stage
+Stages run in sequence (ingest, extract, aggregate, train, compare,
+plot); `run_pipeline` runs ingest and any selection of the others, and
+tags each failure with its stage so the CLI can report which stage
 aborted. All randomness derives from the run seed, and every emitted
 report and comparison document is byte-reproducible for a fixed config.
 """
@@ -604,23 +605,34 @@ def plot_stage(cfg: RunConfig) -> list[Path]:
 
 # -- all-in-one ----------------------------------------------------------------
 
-def run_pipeline(cfg: RunConfig) -> Path:
-    """Execute every stage; returns the output directory."""
+STAGES = ("ingest", "extract", "aggregate", "train", "compare", "plot")
+
+
+def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
+    """Run ingest, then each other stage named in `stages`, in pipeline
+    order; returns the output directory. A stage whose input no earlier
+    stage of this call produced reads it from disk: aggregate builds the
+    designs from `cache_dir`, compare and plot read `out_dir`."""
+    if not set(stages) <= set(STAGES) or ("train" in stages and "aggregate" not in stages):
+        raise ValueError(f"stages must come from {STAGES}, with aggregate wherever train is: {stages}")
+    selected = [name for name in STAGES if name == "ingest" or name in stages]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_id = cfg.run_id()
     meta_path = out / "run_meta.json"
-    _write_json(meta_path, {"run_id": run_id, "status": "running", "config": cfg.to_dict()})
-
     webhook = WebhookSink(cfg.webhook_url) if cfg.webhook_url else None
+
+    def meta(status: str, **fields) -> dict:
+        doc = {"run_id": run_id, "status": status, **fields, "config": cfg.to_dict()}
+        if selected != list(STAGES):
+            doc["stages"] = selected
+        if webhook is not None and webhook.disabled:
+            doc["webhook_disabled"] = True
+        return doc
+
+    _write_json(meta_path, meta("running"))
     tracker = Tracker(run_id, out / cfg.tracker_jsonl, webhook=webhook)
     stage = "ingest"
-
-    def final_meta(status: str, **fields) -> dict:
-        meta = {"run_id": run_id, "status": status, **fields, "config": cfg.to_dict()}
-        if webhook is not None and webhook.disabled:
-            meta["webhook_disabled"] = True
-        return meta
 
     def run(name: str, fn, *args):
         nonlocal stage
@@ -639,28 +651,34 @@ def run_pipeline(cfg: RunConfig) -> Path:
         for cat in CLASSIFIED_CATEGORIES:
             tracker.track("ingest", f"slides_{cat.to_text()}", counts[cat])
 
-        designs = run("extract", extract_stage, cfg, manifest)
-        tracker.track("extract", "backends_cached", len(cfg.backends))
+        designs = None
+        if "extract" in stages:
+            designs = run("extract", extract_stage, cfg, manifest)
+            tracker.track("extract", "backends_cached", len(cfg.backends))
 
-        designs = run("aggregate", aggregate_stage, cfg, manifest, designs)
-        for backend in cfg.backends:
-            tracker.track("aggregate", f"{backend.name}/design_rows", designs[backend.name].n)
+        if "aggregate" in stages:
+            designs = run("aggregate", aggregate_stage, cfg, manifest, designs)
+            for backend in cfg.backends:
+                tracker.track("aggregate", f"{backend.name}/design_rows", designs[backend.name].n)
 
-        run("train", train_evaluate_stage, cfg, designs, tracker)
+        if "train" in stages:
+            run("train", train_evaluate_stage, cfg, designs, tracker)
 
-        comparison = run("compare", compare_stage, cfg)
-        if comparison is not None:
-            tracker.track("compare", "paired_ttest_p", comparison["paired_ttest"]["p"])
+        if "compare" in stages:
+            comparison = run("compare", compare_stage, cfg)
+            if comparison is not None:
+                tracker.track("compare", "paired_ttest_p", comparison["paired_ttest"]["p"])
 
-        run("plot", plot_stage, cfg)
+        if "plot" in stages:
+            run("plot", plot_stage, cfg)
     except BaseException as exc:
         # Any exception marks the run failed, KeyboardInterrupt included. For
         # a StageError, record the error that caused it.
         error = exc
         if isinstance(exc, StageError):
             stage, error = exc.stage, exc.__cause__ or exc
-        _write_json(meta_path, final_meta("failed", stage=stage, error=type(error).__name__))
+        _write_json(meta_path, meta("failed", stage=stage, error=type(error).__name__))
         raise
 
-    _write_json(meta_path, final_meta("complete"))
+    _write_json(meta_path, meta("complete"))
     return out

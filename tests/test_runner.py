@@ -18,6 +18,7 @@ import slidebench
 from slidebench import cli
 from slidebench.categories import Category, Subset
 from slidebench.config import BackendConfig, ConfigError, RunConfig, config_from_dict, load_config
+from slidebench.design import load_design
 from slidebench.embeddings import BackendSpec, cache_path, extract, write_cache
 from slidebench.fixture import paper_manifest
 from slidebench.learners import ClassifierSpec
@@ -154,6 +155,13 @@ class TestRunPipeline:
         assert meta["stage"] == "ingest"
         assert meta["error"] == "StageError"
         assert not (Path(cfg.out_dir) / "accuracy_table.json").exists()
+
+    @pytest.mark.parametrize("stages", [("ingest", "evaluate"), ("ingest", "train")])
+    def test_unknown_or_unfed_stage_rejected(self, tmp_path, stages):
+        cfg = small_config(tmp_path)
+        with pytest.raises(ValueError, match="stages must come from"):
+            run_pipeline(cfg, stages)
+        assert not Path(cfg.out_dir).exists()
 
     def test_completed_meta_records_status_and_config_only(self, completed_run):
         cfg, out = completed_run
@@ -339,6 +347,35 @@ class TestStageCommands:
         for backend in cfg.backends:
             ours = (Path(cfg.out_dir) / backend.name / "design.dmat").read_bytes()
             assert (rebuilt / backend.name / "design.dmat").read_bytes() == ours
+
+    def test_missing_cache_fails_aggregate(self, tmp_path, capsys):
+        # `train` rebuilds the designs from cache_dir, so the aggregate
+        # stage is the one that fails.
+        cfg = small_config(tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn")
+        run_pipeline(cfg)
+        next((Path(cfg.cache_dir) / "bk0").glob("*.embc")).unlink()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert cli.main(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("[aggregate] missing embedding caches")
+        meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
+        assert (meta["status"], meta["stage"], meta["error"], meta["stages"]) == (
+            "failed", "aggregate", "DesignError", ["ingest", "aggregate", "train"]
+        )
+
+    def test_any_stage_error_exits_two(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn")
+        run_pipeline(cfg)
+        report_path = Path(cfg.out_dir) / "bk0" / "reports" / "knn.json"
+        report = json.loads(report_path.read_text())
+        del report["roc_curves"]
+        report_path.write_text(json.dumps(report))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert cli.main(["plot", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("[plot]")
+        meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
+        assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "plot", "KeyError")
 
 
 class TestDeterminism:
@@ -535,6 +572,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="is not a plain name"):
             BackendConfig(name=name, kind="synthetic", dim=8)
 
+    @pytest.mark.parametrize("name", ["../escaped.jsonl", "/tmp/events.jsonl", "logs/events.jsonl", "", ".."])
+    def test_tracker_jsonl_must_be_plain(self, tmp_path, name):
+        # The event log is written at `<out_dir>/<tracker_jsonl>`.
+        with pytest.raises(ConfigError, match="is not a plain name"):
+            small_config(tmp_path, tracker_jsonl=name)
+
     def test_workload_style_names_accepted(self):
         assert BackendConfig(name="uni-pre", kind="synthetic", dim=8).name == "uni-pre"
 
@@ -673,21 +716,31 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert len(list((Path(cfg.cache_dir) / "bk0").glob("*.embc"))) == 90
 
+        self.assert_stages_complete(out, ["ingest", "extract"])
+
         res = self.run_cli("aggregate", "--config", str(path))
         assert res.returncode == 0, res.stderr
-        assert (out / "bk0" / "design.dmat").exists()
-        assert "design matrix [90, 16]" in res.stdout
+        assert load_design(out / "bk0" / "design.dmat").rows.shape == (90, 16)
+        self.assert_stages_complete(out, ["ingest", "aggregate"])
 
         res = self.run_cli("train", "--config", str(path))
         assert res.returncode == 0, res.stderr
         assert (out / "bk0" / "models" / "knn.modl").exists()
         assert (out / "accuracy_table.json").exists()
         assert (out / "f1_table.json").exists()
+        self.assert_stages_complete(out, ["ingest", "aggregate", "train"])
 
         res = self.run_cli("compare", "--config", str(path))
         assert res.returncode == 0, res.stderr
         assert (out / "comparison.json").exists()
+        self.assert_stages_complete(out, ["ingest", "compare"])
 
         res = self.run_cli("plot", "--config", str(path))
         assert res.returncode == 0, res.stderr
         assert (out / "bk0" / "plots" / "logistic_regression_roc.svg").exists()
+        self.assert_stages_complete(out, ["ingest", "plot"])
+
+    @staticmethod
+    def assert_stages_complete(out: Path, stages: list[str]):
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert (meta["status"], meta["stages"]) == ("complete", stages)
