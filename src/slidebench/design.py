@@ -16,7 +16,6 @@ cache directory, for the stage commands that run without extract.
 from __future__ import annotations
 
 import struct
-import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ import numpy as np
 
 from .categories import Category, EffectiveSubset
 from .embeddings import CACHE_SUFFIX, EmbeddingMatrix, read_cache
-from .fileio import write_atomic
+from .fileio import read_framed, write_framed
 from .manifest import Manifest, SlideMeta
 
 MAGIC = b"DMAT"
@@ -158,32 +157,14 @@ def save_design(dm: DesignMatrix, path: str | Path) -> Path:
         if len(raw) > 0xFFFF:
             raise DesignError(f"slide id too long to serialize ({len(raw)} bytes)")
         body += struct.pack("<H", len(raw)) + raw
-    crc = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    return write_atomic(path, (MAGIC + struct.pack("<I", VERSION), body, crc))
+    return write_framed(path, MAGIC, VERSION, body)
 
 
 def load_design(path: str | Path) -> DesignMatrix:
-    blob = Path(path).read_bytes()
-    if len(blob) < 8 or blob[:4] != MAGIC:
-        raise DesignError(f"{path}: bad magic")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != VERSION:
-        raise DesignError(f"{path}: unsupported version {version}")
-    if len(blob) < 12:
-        raise DesignError(f"{path}: truncated file")
-    body, crc_stored = blob[8:-4], struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise DesignError(f"{path}: checksum mismatch")
-    off = 0
+    return DesignMatrix(*read_framed(path, MAGIC, VERSION, DesignError, _parse_design))
 
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(body):
-            raise DesignError(f"{path}: truncated {what}")
-        chunk = body[off : off + n]
-        off += n
-        return chunk
 
+def _parse_design(take) -> tuple:
     n, d = struct.unpack("<II", take(8, "shape"))
     rows = np.frombuffer(take(n * d * 4, "rows"), dtype="<f4").reshape(n, d).copy()
     labels = np.frombuffer(take(n, "labels"), dtype=np.uint8).copy()
@@ -192,6 +173,4 @@ def load_design(path: str | Path) -> DesignMatrix:
     for _ in range(n):
         (ln,) = struct.unpack("<H", take(2, "slide id length"))
         slide_ids.append(take(ln, "slide id").decode("utf-8"))
-    if off != len(body):
-        raise DesignError(f"{path}: {len(body) - off} trailing bytes")
-    return DesignMatrix(rows, labels, subsets, slide_ids)
+    return rows, labels, subsets, slide_ids

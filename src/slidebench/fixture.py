@@ -28,14 +28,12 @@ _DIAG_TYPES = {
 }
 
 
-def _largest_remainder(total_per_bucket: list[float], want: int) -> list[int]:
-    floors = [int(np.floor(q)) for q in total_per_bucket]
-    short = want - sum(floors)
-    remainders = sorted(
-        range(len(total_per_bucket)),
-        key=lambda i: (-(total_per_bucket[i] - floors[i]), i),
-    )
-    for i in remainders[:short]:
+def largest_remainder(quotas: list[float], total: int) -> list[int]:
+    """Each quota's floor, plus one for the largest remainders (ties to the
+    lower index) until the counts sum to `total`."""
+    floors = [int(np.floor(q)) for q in quotas]
+    order = sorted(range(len(quotas)), key=lambda i: (-(quotas[i] - floors[i]), i))
+    for i in order[: total - sum(floors)]:
         floors[i] += 1
     return floors
 
@@ -57,7 +55,7 @@ def subset_allocation(
     subsets = list(subset_counts)
     for s in subsets[:-1]:
         quotas = [category_counts[c] * subset_counts[s] / n_classified for c in classified]
-        counts = _largest_remainder(quotas, subset_counts[s])
+        counts = largest_remainder(quotas, subset_counts[s])
         for c, k in zip(classified, counts):
             alloc[c][s] = k
             remaining[c] -= k
@@ -67,7 +65,7 @@ def subset_allocation(
     n_other = category_counts.get(Category.OTHER, 0)
     if n_other:
         quotas = [n_other * subset_counts[s] / sum(subset_counts.values()) for s in subsets]
-        counts = _largest_remainder(quotas, n_other)
+        counts = largest_remainder(quotas, n_other)
         alloc[Category.OTHER] = dict(zip(subsets, counts))
     return alloc
 

@@ -7,7 +7,6 @@ from .base import (
     BaseClassifier,
     ClassifierSpec,
     Standardizer,
-    validate_spec,
 )
 from .bayes import NaiveBayes
 from .crossval import CvPlan, CvResult, cross_validate, stratified_folds
@@ -25,7 +24,6 @@ __all__ = [
     "BaseClassifier",
     "ClassifierSpec",
     "Standardizer",
-    "validate_spec",
     "NaiveBayes",
     "CvPlan",
     "CvResult",

@@ -1,21 +1,79 @@
-"""Shared classifier infrastructure: specs, validation, array helpers."""
+"""Shared classifier infrastructure: the parameter table, specs, array helpers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
-KINDS = (
-    "logistic_regression",
-    "adaboost",
-    "decision_tree",
-    "gradient_boosting",
-    "random_forest",
-    "knn",
-    "naive_bayes",
-)
+
+class Param(NamedTuple):
+    """One hyperparameter: its default and the rule a given value must meet."""
+
+    default: Any
+    check: Callable[[Any], bool]
+    rule: str
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _count(default: int | None, low: int, high: int | None = None, none_ok: bool = False) -> Param:
+    """An integer in low..high (unbounded above without `high`), or None where `none_ok`."""
+    rule = f"an integer >= {low}" if high is None else f"an integer in {low}..{high}"
+    check = lambda v: none_ok if v is None else _is_int(v) and low <= v and (high is None or v <= high)
+    return Param(default, check, rule + " or None" if none_ok else rule)
+
+
+def _real(default: float, low: float, strict: bool = False) -> Param:
+    """A number > low where `strict`, else >= low."""
+    check = lambda v: (_is_int(v) or isinstance(v, (float, np.floating))) and (v > low if strict else v >= low)
+    return Param(default, check, f"{'>' if strict else '>='} {low}")
+
+
+_N_ESTIMATORS = _count(100, 1)
+_MAX_DEPTH = _count(None, 1, none_ok=True)
+
+# Engine settings shared by the four tree learners.
+TREE_PARAMS = {
+    "min_samples_split": _count(2, 2),
+    "min_samples_leaf": _count(1, 1),
+    # Bin codes are stored as uint16.
+    "max_bins": _count(64, 2, 65536),
+}
+
+# Every hyperparameter of each classifier kind, in `KINDS` order. A spec
+# may give any subset; the rest take these defaults.
+PARAMS: dict[str, dict[str, Param]] = {
+    "logistic_regression": {
+        "l2": _real(0.0, 0),
+        "max_iter": _count(5000, 1),
+        "tol": _real(1e-6, 0, strict=True),
+    },
+    "adaboost": {"n_estimators": _N_ESTIMATORS, "base_depth": _count(1, 1, 3), **TREE_PARAMS},
+    "decision_tree": {"max_depth": _MAX_DEPTH, **TREE_PARAMS},
+    "gradient_boosting": {
+        "n_estimators": _N_ESTIMATORS,
+        "learning_rate": _real(0.1, 0, strict=True),
+        "max_depth": _count(2, 1, none_ok=True),
+        **TREE_PARAMS,
+    },
+    "random_forest": {
+        "n_estimators": _N_ESTIMATORS,
+        "max_depth": _MAX_DEPTH,
+        "max_features": Param(
+            "sqrt", lambda v: v is None or v == "sqrt" or (_is_int(v) and v >= 1), 'None, "sqrt" or an integer >= 1'
+        ),
+        "bootstrap": Param(True, lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
+        **TREE_PARAMS,
+    },
+    "knn": {"k": _count(5, 1)},
+    "naive_bayes": {"var_floor_ratio": _real(1e-9, 0)},
+}
+
+KINDS = tuple(PARAMS)
 
 # Display names in the order the result tables use.
 KIND_LABELS = {
@@ -27,87 +85,36 @@ KIND_LABELS = {
     "naive_bayes": "Naive Bayes",
     "adaboost": "AdaBoost",
 }
-TABLE_ORDER = (
-    "knn",
-    "decision_tree",
-    "gradient_boosting",
-    "random_forest",
-    "logistic_regression",
-    "naive_bayes",
-    "adaboost",
-)
+TABLE_ORDER = tuple(KIND_LABELS)
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """Classifier kind plus hyperparameters and RNG seed."""
+    """Classifier kind plus the hyperparameters given (the rest take their
+    `PARAMS` defaults) and RNG seed."""
 
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        validate_spec(self)
+        table = PARAMS.get(self.kind)
+        if table is None:
+            raise ValueError(f"unknown classifier kind {self.kind!r}")
+        for name, value in self.params.items():
+            if name not in table:
+                raise ValueError(f"{self.kind} has no parameter {name!r}")
+            if not table[name].check(value):
+                raise ValueError(f"{name} must be {table[name].rule}, got {value!r}")
+
+    def param(self, name: str) -> Any:
+        """The given value of `name`, else the kind's default."""
+        return self.params[name] if name in self.params else PARAMS[self.kind][name].default
 
     def spec_id(self) -> str:
         """Stable textual identifier, used in reports and file names."""
         parts = [f"{k}={self.params[k]}" for k in sorted(self.params)]
         return f"{self.kind}({', '.join(parts)}; seed={self.seed})"
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _validate_tree_params(p: dict) -> None:
-    """Engine settings shared by the four tree learners."""
-    _require(p.get("min_samples_leaf", 1) >= 1, "min_samples_leaf must be >= 1")
-    _require(p.get("min_samples_split", 2) >= 2, "min_samples_split must be >= 2")
-    if "max_bins" in p:
-        # Bin codes are stored as uint16.
-        bins = p["max_bins"]
-        _require(_is_int(bins) and 2 <= bins <= 65536, "max_bins must be an integer in 2..65536")
-
-
-def validate_spec(spec: ClassifierSpec) -> None:
-    if spec.kind not in KINDS:
-        raise ValueError(f"unknown classifier kind {spec.kind!r}")
-    p = dict(spec.params)
-    if spec.kind in ("decision_tree", "random_forest", "gradient_boosting", "adaboost"):
-        _validate_tree_params(p)
-    if spec.kind == "logistic_regression":
-        _require(p.get("l2", 0.0) >= 0, "l2 penalty must be >= 0")
-        _require(p.get("max_iter", 5000) >= 1, "max_iter must be >= 1")
-        _require(p.get("tol", 1e-6) > 0, "tol must be > 0")
-    elif spec.kind == "knn":
-        _require(p.get("k", 5) >= 1, "k must be >= 1")
-    elif spec.kind == "decision_tree":
-        depth = p.get("max_depth")
-        _require(depth is None or depth >= 1, "max_depth must be >= 1 or None")
-    elif spec.kind == "random_forest":
-        _require(p.get("n_estimators", 100) >= 1, "n_estimators must be >= 1")
-        depth = p.get("max_depth")
-        _require(depth is None or depth >= 1, "max_depth must be >= 1 or None")
-        feats = p.get("max_features", "sqrt")
-        _require(
-            feats is None or feats == "sqrt" or (_is_int(feats) and feats >= 1),
-            'max_features must be None, "sqrt" or an integer >= 1',
-        )
-    elif spec.kind == "gradient_boosting":
-        _require(p.get("n_estimators", 100) >= 1, "n_estimators must be >= 1")
-        _require(p.get("learning_rate", 0.1) > 0, "learning_rate must be > 0")
-        depth = p.get("max_depth", 2)
-        _require(depth is None or depth >= 1, "max_depth must be >= 1 or None")
-    elif spec.kind == "adaboost":
-        _require(p.get("n_estimators", 100) >= 1, "n_estimators must be >= 1")
-        _require(1 <= p.get("base_depth", 1) <= 3, "base_depth must be in 1..3")
-    elif spec.kind == "naive_bayes":
-        _require(p.get("var_floor_ratio", 1e-9) >= 0, "var_floor_ratio must be >= 0")
 
 
 def check_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ class NaiveBayes(BaseClassifier):
         codes = self._encode(y)
         k = len(self.classes_)
         n, d = X.shape
-        ratio = float(self.spec.params.get("var_floor_ratio", 1e-9))
+        ratio = float(self.spec.param("var_floor_ratio"))
         self.priors_ = np.bincount(codes, minlength=k) / n
         self.means_ = np.empty((k, d))
         self.vars_ = np.empty((k, d))

@@ -76,26 +76,24 @@ class CvResult:
         ]
 
 
-# Kind -> the parameter whose grid values one fit per fold serves, and
-# its default.
+# Kind -> the parameter whose grid values one fit per fold serves.
 _STAGEABLE = {
-    "random_forest": ("n_estimators", 100),
-    "gradient_boosting": ("n_estimators", 100),
-    "adaboost": ("n_estimators", 100),
-    "decision_tree": ("max_depth", None),
-    "knn": ("k", 5),
+    "random_forest": "n_estimators",
+    "gradient_boosting": "n_estimators",
+    "adaboost": "n_estimators",
+    "decision_tree": "max_depth",
+    "knn": "k",
 }
 
 
 def _family_key(spec: ClassifierSpec) -> tuple:
-    staged = _STAGEABLE[spec.kind][0]
+    staged = _STAGEABLE[spec.kind]
     rest = tuple(sorted((k, repr(v)) for k, v in spec.params.items() if k != staged))
     return (spec.kind, spec.seed, rest)
 
 
 def _stage(spec: ClassifierSpec):
-    name, default = _STAGEABLE[spec.kind]
-    return spec.params.get(name, default)
+    return spec.param(_STAGEABLE[spec.kind])
 
 
 def _stage_order(stage) -> float:

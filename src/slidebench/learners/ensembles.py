@@ -38,7 +38,7 @@ class RandomForest(BaseClassifier):
         self.trees_: list[FittedTree] = []
 
     def _resolve_max_features(self, d: int) -> int | None:
-        raw = self.spec.params.get("max_features", "sqrt")
+        raw = self.spec.param("max_features")
         if raw is None:
             return None
         if raw == "sqrt":
@@ -50,15 +50,14 @@ class RandomForest(BaseClassifier):
         codes = self._encode(y)
         n, d = X.shape
         k = len(self.classes_)
-        n_estimators = self.spec.params.get("n_estimators", 100)
-        bootstrap = self.spec.params.get("bootstrap", True)
+        bootstrap = self.spec.param("bootstrap")
         table, params = tree_setup(
             self.spec, X,
-            max_depth=self.spec.params.get("max_depth"),
+            max_depth=self.spec.param("max_depth"),
             max_features=self._resolve_max_features(d),
         )
         self.trees_ = []
-        for t in range(n_estimators):
+        for t in range(self.spec.param("n_estimators")):
             rng = np.random.default_rng(np.random.SeedSequence([self.spec.seed & 0xFFFFFFFF, t]))
             if bootstrap:
                 draw = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
@@ -107,14 +106,13 @@ class GradientBoosting(BaseClassifier):
         codes = self._encode(y)
         n, d = X.shape
         k = len(self.classes_)
-        n_rounds = self.spec.params.get("n_estimators", 100)
-        lr = self.spec.params.get("learning_rate", 0.1)
-        table, params = tree_setup(self.spec, X, max_depth=self.spec.params.get("max_depth", 2))
+        lr = self.spec.param("learning_rate")
+        table, params = tree_setup(self.spec, X, max_depth=self.spec.param("max_depth"))
         Y = one_hot(codes, k)
         F = np.zeros((n, k))
         self.rounds_ = []
         self.train_loss_ = []
-        for _ in range(n_rounds):
+        for _ in range(self.spec.param("n_estimators")):
             P = softmax(F)
             self.train_loss_.append(_cross_entropy(P, codes))
             stage: list[FittedTree] = []
@@ -139,7 +137,7 @@ class GradientBoosting(BaseClassifier):
     def staged_proba(self, X: np.ndarray, stages: list[int]) -> list[np.ndarray]:
         """Probabilities using only the first t rounds, for each t in stages."""
         X = self._check_predict_input(X)
-        lr = self.spec.params.get("learning_rate", 0.1)
+        lr = self.spec.param("learning_rate")
         F = np.zeros((X.shape[0], len(self.classes_)))
 
         def add(stage: list[FittedTree]) -> None:
@@ -171,12 +169,11 @@ class AdaBoost(BaseClassifier):
         codes = self._encode(y)
         n, d = X.shape
         k = len(self.classes_)
-        n_estimators = self.spec.params.get("n_estimators", 100)
-        table, params = tree_setup(self.spec, X, max_depth=self.spec.params.get("base_depth", 1))
+        table, params = tree_setup(self.spec, X, max_depth=self.spec.param("base_depth"))
         w = np.full(n, 1.0 / n)
         self.trees_ = []
         self.alphas_ = []
-        for _ in range(n_estimators):
+        for _ in range(self.spec.param("n_estimators")):
             tree, leaf_of_row = grow_tree(
                 table, "gini", codes, params, n_classes=k, sample_weight=w
             )

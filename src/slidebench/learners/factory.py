@@ -23,11 +23,7 @@ _CLASSES = {
 
 
 def build_classifier(spec: ClassifierSpec) -> BaseClassifier:
-    try:
-        cls = _CLASSES[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown classifier kind {spec.kind!r}") from None
-    return cls(spec)
+    return _CLASSES[spec.kind](spec)
 
 
 # Small, standard search grids; anything not listed is a fixed default.

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from pathlib import Path
 
 import numpy as np
 
-from ..fileio import write_atomic
+from ..fileio import read_framed, write_framed
 from .base import BaseClassifier, ClassifierSpec
 from .bayes import NaiveBayes
 from .ensembles import AdaBoost, GradientBoosting, RandomForest
@@ -155,54 +154,33 @@ def save_model(model: BaseClassifier, path: str | Path) -> Path:
         body += struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim)
         body += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
         body += arr.tobytes()
-    crc = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    return write_atomic(path, (MAGIC + struct.pack("<I", VERSION), body, crc))
+    return write_framed(path, MAGIC, VERSION, body)
 
 
 def load_model(path: str | Path) -> BaseClassifier:
-    blob = Path(path).read_bytes()
-    if len(blob) < 8 or blob[:4] != MAGIC:
-        raise ModelFormatError(f"{path}: bad magic")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != VERSION:
-        raise ModelFormatError(f"{path}: unsupported version {version}")
-    if len(blob) < 12:
-        raise ModelFormatError(f"{path}: truncated file")
-    body, crc_stored = blob[8:-4], struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise ModelFormatError(f"{path}: checksum mismatch")
-    off = 0
+    def parse(take) -> tuple[str, dict, dict[str, np.ndarray]]:
+        (kind_len,) = struct.unpack("<H", take(2, "kind length"))
+        kind = take(kind_len, "kind").decode("utf-8")
+        (meta_len,) = struct.unpack("<I", take(4, "meta length"))
+        meta = json.loads(take(meta_len, "meta").decode("utf-8"))
+        if meta.get("kind") != kind:
+            raise ModelFormatError(f"{path}: kind mismatch between header and meta")
+        (n_arrays,) = struct.unpack("<I", take(4, "array count"))
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(n_arrays):
+            (name_len,) = struct.unpack("<H", take(2, "array name length"))
+            name = take(name_len, "array name").decode("utf-8")
+            code, ndim = struct.unpack("<BB", take(2, "array header"))
+            if code not in _DTYPES:
+                raise ModelFormatError(f"{path}: unknown dtype code {code}")
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "array shape")) if ndim else ()
+            dtype = np.dtype(_DTYPES[code])
+            count = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(take(count * dtype.itemsize, f"array {name}"), dtype=dtype)
+            arrays[name] = arr.reshape(shape).copy() if ndim else arr.copy()[0:1].reshape(())
+        return kind, meta, arrays
 
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(body):
-            raise ModelFormatError(f"{path}: truncated {what}")
-        chunk = body[off : off + n]
-        off += n
-        return chunk
-
-    (kind_len,) = struct.unpack("<H", take(2, "kind length"))
-    kind = take(kind_len, "kind").decode("utf-8")
-    (meta_len,) = struct.unpack("<I", take(4, "meta length"))
-    meta = json.loads(take(meta_len, "meta").decode("utf-8"))
-    if meta.get("kind") != kind:
-        raise ModelFormatError(f"{path}: kind mismatch between header and meta")
-    (n_arrays,) = struct.unpack("<I", take(4, "array count"))
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_arrays):
-        (name_len,) = struct.unpack("<H", take(2, "array name length"))
-        name = take(name_len, "array name").decode("utf-8")
-        code, ndim = struct.unpack("<BB", take(2, "array header"))
-        if code not in _DTYPES:
-            raise ModelFormatError(f"{path}: unknown dtype code {code}")
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "array shape")) if ndim else ()
-        dtype = np.dtype(_DTYPES[code])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(count * dtype.itemsize, f"array {name}"), dtype=dtype)
-        arrays[name] = arr.reshape(shape).copy() if ndim else arr.copy()[0:1].reshape(())
-    if off != len(body):
-        raise ModelFormatError(f"{path}: {len(body) - off} trailing bytes")
-
+    kind, meta, arrays = read_framed(path, MAGIC, VERSION, ModelFormatError, parse)
     spec = ClassifierSpec(kind=kind, params=meta["params"], seed=meta["seed"])
     model = build_classifier(spec)
     _restore_state(model, meta["extra"], arrays)

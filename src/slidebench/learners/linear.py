@@ -85,9 +85,9 @@ class LogisticRegression(BaseClassifier):
         X, y = check_training_inputs(X, y)
         codes = self._encode(y)
         k = len(self.classes_)
-        l2 = float(self.spec.params.get("l2", 0.0))
-        max_iter = int(self.spec.params.get("max_iter", 5000))
-        tol = float(self.spec.params.get("tol", 1e-6))
+        l2 = float(self.spec.param("l2"))
+        max_iter = int(self.spec.param("max_iter"))
+        tol = float(self.spec.param("tol"))
 
         self.scaler_ = Standardizer.fit(X)
         Xs = self.scaler_.transform(X)

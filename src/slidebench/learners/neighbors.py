@@ -24,7 +24,7 @@ class KNearestNeighbor(BaseClassifier):
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.staged_proba(X, [self.spec.params.get("k", 5)])[0]
+        return self.staged_proba(X, [self.spec.param("k")])[0]
 
     def staged_proba(self, X: np.ndarray, ks: list[int]) -> list[np.ndarray]:
         """Vote fractions for each k in `ks`, from one distance computation

@@ -52,6 +52,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .base import (
+    TREE_PARAMS,
     BaseClassifier,
     ClassifierSpec,
     chan_sum,
@@ -59,7 +60,6 @@ from .base import (
     normalize_rows,
 )
 
-DEFAULT_MAX_BINS = 64
 _GAIN_EPS = 1e-12
 # Cap on histogram cells per pass; frontiers larger than this are chunked.
 _CELL_BUDGET = 8_000_000
@@ -103,7 +103,7 @@ def shared_bins():
         _shared = outer
 
 
-def bin_features(X: np.ndarray, max_bins: int = DEFAULT_MAX_BINS) -> BinTable:
+def bin_features(X: np.ndarray, max_bins: int = TREE_PARAMS["max_bins"].default) -> BinTable:
     """Bin codes and split candidates of X; its arrays are read-only."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if _shared is None:
@@ -161,22 +161,21 @@ def _bin(X: np.ndarray, max_bins: int) -> BinTable:
 @dataclass
 class TreeParams:
     max_depth: int | None = None
-    min_samples_split: int = 2
-    min_samples_leaf: int = 1
+    min_samples_split: int = TREE_PARAMS["min_samples_split"].default
+    min_samples_leaf: int = TREE_PARAMS["min_samples_leaf"].default
     max_features: int | None = None  # per-split feature subsample; None = all
 
 
 def tree_setup(spec: ClassifierSpec, X: np.ndarray, **fixed) -> tuple[BinTable, TreeParams]:
     """The binned X and the engine settings of a tree learner: the spec's
-    `min_samples_split`, `min_samples_leaf` and `max_bins` (engine defaults
-    where absent) plus the learner's own `TreeParams` fields in `fixed`."""
-    p = spec.params
+    `min_samples_split`, `min_samples_leaf` and `max_bins` plus the
+    learner's own `TreeParams` fields in `fixed`."""
     params = TreeParams(
-        min_samples_split=p.get("min_samples_split", 2),
-        min_samples_leaf=p.get("min_samples_leaf", 1),
+        min_samples_split=spec.param("min_samples_split"),
+        min_samples_leaf=spec.param("min_samples_leaf"),
         **fixed,
     )
-    return bin_features(X, p.get("max_bins", DEFAULT_MAX_BINS)), params
+    return bin_features(X, spec.param("max_bins")), params
 
 
 @dataclass
@@ -557,7 +556,7 @@ class DecisionTree(BaseClassifier):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         X, y = check_training_inputs(X, y)
         codes = self._encode(y)
-        table, params = tree_setup(self.spec, X, max_depth=self.spec.params.get("max_depth"))
+        table, params = tree_setup(self.spec, X, max_depth=self.spec.param("max_depth"))
         self.tree_, _ = grow_tree(table, "gini", codes, params, n_classes=len(self.classes_))
         self._d = X.shape[1]
         return self

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _DEGENERATE_VAR = 1e-12
+_PERMUTATION_BLOCK = 256
 
 
 # -- special functions -------------------------------------------------------
@@ -230,14 +231,17 @@ def venkatraman_test(ps: PairedScores, permutations: int = 2000, seed: int = 0) 
     observed = float(_curve_difference(ranks_a, ranks_b, y))
 
     rng = np.random.default_rng(seed)
-    swap = rng.random((permutations, n)) < 0.5
-    # Integer arithmetic picks the same ranks as np.where(swap, ...), with
-    # no broadcast select per permutation row.
-    moved = swap * (ranks_b - ranks_a)
-    perm_a = ranks_a + moved
-    perm_b = ranks_b - moved
-    perm_stats = _curve_difference(perm_a, perm_b, y)
-    exceed = int(np.sum(perm_stats >= observed - 1e-12))
+    gap = ranks_b - ranks_a
+    exceed = 0
+    # Blocks of consecutive draws from one generator: the same swaps as a
+    # single (permutations, n) draw, in memory bounded by the block size.
+    for start in range(0, permutations, _PERMUTATION_BLOCK):
+        swap = rng.random((min(_PERMUTATION_BLOCK, permutations - start), n)) < 0.5
+        # Integer arithmetic picks the same ranks as np.where(swap, ...), with
+        # no broadcast select per permutation row.
+        moved = swap * gap
+        perm_stats = _curve_difference(ranks_a + moved, ranks_b - moved, y)
+        exceed += int(np.sum(perm_stats >= observed - 1e-12))
     p = (1.0 + exceed) / (permutations + 1.0)
     return VenkatramanResult(
         roc_difference=observed / (n * n),

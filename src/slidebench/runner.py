@@ -22,6 +22,7 @@ from .config import BackendConfig, RunConfig, derive_seed
 from .design import DesignMatrix, aggregate_design, build_design, load_design, save_design, split_design
 from .embeddings import CACHE_SUFFIX, extract, scan_cache, slide_rng, write_cache
 from .fileio import TEMP_SUFFIX, write_atomic
+from .fixture import largest_remainder
 from .learners import (
     KIND_LABELS,
     TABLE_ORDER,
@@ -348,7 +349,8 @@ def compare_models(
     permutations: int = 2000,
     seed: int = 0,
 ) -> dict:
-    """Paired DeLong + permutation tests per category, t-test over classifiers.
+    """Paired DeLong + permutation tests per category, t-test over classifiers
+    (`"paired_ttest": null` with fewer than two classifiers).
 
     `dir_a`/`dir_b` are per-backend output directories holding reports and
     predictions; both runs must have scored identical test slides in
@@ -391,14 +393,14 @@ def compare_models(
         rb = json.loads((dir_b / "reports" / f"{kind}.json").read_text(encoding="utf-8"))
         acc_a.append(ra["accuracy"])
         acc_b.append(rb["accuracy"])
-    tt = paired_ttest(np.asarray(acc_a), np.asarray(acc_b))
+    tt = paired_ttest(np.asarray(acc_a), np.asarray(acc_b)) if len(acc_a) >= 2 else None
 
     return {
         "backend_a": dir_a.name,
         "backend_b": dir_b.name,
         "selected_classifier": selected_classifier,
         "categories": categories,
-        "paired_ttest": {
+        "paired_ttest": None if tt is None else {
             "t": tt.t,
             "df": tt.df,
             "p": tt.p,
@@ -455,7 +457,7 @@ def stratified_subsample(labels: np.ndarray, size: int, rng: np.random.Generator
         return np.arange(n)
     classes = np.unique(labels)
     quotas = [size * (labels == c).sum() / n for c in classes]
-    counts = _apportion(quotas, size)
+    counts = largest_remainder(quotas, size)
     # Every class keeps at least one row.
     for i, c in enumerate(counts):
         if c == 0:
@@ -466,14 +468,6 @@ def stratified_subsample(labels: np.ndarray, size: int, rng: np.random.Generator
         idx = np.flatnonzero(labels == c)
         picked.append(rng.choice(idx, size=k, replace=False))
     return np.sort(np.concatenate(picked))
-
-
-def _apportion(quotas: list[float], total: int) -> list[int]:
-    floors = [int(np.floor(q)) for q in quotas]
-    order = sorted(range(len(quotas)), key=lambda i: (-(quotas[i] - floors[i]), i))
-    for i in order[: total - sum(floors)]:
-        floors[i] += 1
-    return floors
 
 
 def default_curve_sizes(n_train: int, n_classes: int = 3) -> list[int]:
@@ -666,7 +660,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
 
         if "compare" in stages:
             comparison = run("compare", compare_stage, cfg)
-            if comparison is not None:
+            if comparison is not None and comparison["paired_ttest"] is not None:
                 tracker.track("compare", "paired_ttest_p", comparison["paired_ttest"]["p"])
 
         if "plot" in stages:

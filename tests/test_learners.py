@@ -13,7 +13,8 @@ from slidebench.learners import (
     load_model,
     save_model,
 )
-from slidebench.learners.base import one_hot
+from slidebench.learners.base import PARAMS, one_hot
+from slidebench.learners.io import _collect_state
 from slidebench.learners.linear import LogisticRegression, gradients, objective
 from slidebench.learners import trees
 from slidebench.learners.trees import bin_features, grow_tree, TreeParams
@@ -98,6 +99,19 @@ class TestCommonContracts:
         with pytest.raises(ValueError, match="non-finite"):
             build_classifier(ClassifierSpec(kind, params=ALL_PARAMS[kind])).fit(X, y)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_spelled_out_defaults_fit_the_same(self, kind, blob_data):
+        # A spec that omits a parameter fits with the table default.
+        X, y, Xt, _ = blob_data
+        spelled = {name: p.default for name, p in PARAMS[kind].items()}
+        fits = [build_classifier(ClassifierSpec(kind, params, seed=3)).fit(X, y) for params in ({}, spelled)]
+        (extra_a, arrays_a), (extra_b, arrays_b) = (_collect_state(m) for m in fits)
+        assert extra_a == extra_b
+        assert arrays_a.keys() == arrays_b.keys()
+        for name in arrays_a:
+            assert arrays_a[name].tobytes() == arrays_b[name].tobytes(), name
+        assert fits[0].predict_proba(Xt).tobytes() == fits[1].predict_proba(Xt).tobytes()
+
 
 class TestSpecValidation:
     def test_unknown_kind(self):
@@ -114,11 +128,35 @@ class TestSpecValidation:
             ("random_forest", {"n_estimators": 0}),
             ("logistic_regression", {"l2": -1.0}),
             ("adaboost", {"base_depth": 4}),
+            # Counts are integers, not floats or bools.
+            ("random_forest", {"n_estimators": 2.5}),
+            ("gradient_boosting", {"n_estimators": 3.0}),
+            ("adaboost", {"n_estimators": True}),
+            ("knn", {"k": 3.0}),
+            ("logistic_regression", {"max_iter": 300.0}),
+            ("decision_tree", {"max_depth": 2.5}),
+            ("gradient_boosting", {"max_depth": True}),
         ],
     )
     def test_invalid_params(self, kind, params):
         with pytest.raises(ValueError):
             ClassifierSpec(kind, params=params)
+
+    @pytest.mark.parametrize(
+        "kind,name",
+        [
+            ("logistic_regression", "C"),
+            ("adaboost", "learning_rate"),
+            ("decision_tree", "n_estimators"),
+            ("gradient_boosting", "max_features"),
+            ("random_forest", "n_estimator"),
+            ("knn", "weights"),
+            ("naive_bayes", "var_smoothing"),
+        ],
+    )
+    def test_unknown_param_rejected(self, kind, name):
+        with pytest.raises(ValueError, match=f"{kind} has no parameter '{name}'"):
+            ClassifierSpec(kind, params={name: 1})
 
     @pytest.mark.parametrize(
         "kind", ["decision_tree", "random_forest", "gradient_boosting", "adaboost"]
@@ -135,6 +173,8 @@ class TestSpecValidation:
             ({"min_samples_leaf": -3}, "min_samples_leaf"),
             ({"min_samples_split": 1}, "min_samples_split"),
             ({"min_samples_split": -1}, "min_samples_split"),
+            ({"min_samples_leaf": 1.5}, "min_samples_leaf"),
+            ({"min_samples_split": 2.5}, "min_samples_split"),
         ],
     )
     def test_invalid_tree_engine_params(self, kind, params, message):

@@ -396,6 +396,18 @@ class TestDeterminism:
 
 
 class TestCompareModels:
+    def test_single_classifier_run_completes(self, tmp_path):
+        # A paired t-test over classifiers needs two of them; with one,
+        # compare still writes the per-category tests.
+        cfg = small_config(tmp_path, classifiers=["knn"], selected_classifier="knn")
+        out = run_pipeline(cfg)
+        assert json.loads((out / "run_meta.json").read_text())["status"] == "complete"
+        doc = json.loads((out / "comparison.json").read_text())
+        assert doc["paired_ttest"] is None
+        assert [c["category"] for c in doc["categories"]] == ["basaloid", "melanocytic", "squamous"]
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert not [e for e in events if e["phase"] == "compare"]
+
     def test_self_comparison_null(self, completed_run):
         cfg, out = completed_run
         doc = compare_models(
@@ -526,6 +538,14 @@ class TestConfig:
     def test_invalid_grid_spec_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="var_floor_ratio must be >= 0"):
             small_config(tmp_path, grids={"naive_bayes": {"var_floor_ratio": [-1.0]}})
+
+    def test_unknown_grid_parameter_rejected(self, tmp_path):
+        # Were the name ignored, the default 100 trees would be fit while
+        # the reports named n_trees=10.
+        raw = small_config(tmp_path).to_dict()
+        raw["grids"] = {"random_forest": {"n_trees": [10]}}
+        with pytest.raises(ConfigError, match="random_forest has no parameter 'n_trees'"):
+            config_from_dict(raw)
 
     def test_unknown_grid_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown classifier kind 'decison_tree'"):
