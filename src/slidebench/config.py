@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import zlib
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import MappingProxyType
 
@@ -152,40 +152,24 @@ class RunConfig:
         return default_grid(kind, seed=seed, overrides=self.grids.get(kind))
 
     def to_dict(self) -> dict:
-        return {
-            "manifest": self.manifest,
-            "out_dir": self.out_dir,
-            "cache_dir": self.cache_dir,
-            "seed": self.seed,
-            "delimiter": self.delimiter,
-            "backends": [
-                {
-                    "name": b.name,
-                    "kind": b.kind,
-                    "dim": b.dim,
-                    "class_separation": b.class_separation,
-                    "seed": b.seed,
-                    "source_dir": b.source_dir,
-                    "patch_count_min": b.patch_count_min,
-                    "patch_count_max": b.patch_count_max,
-                }
-                for b in self.backends
-            ],
-            "classifiers": list(self.classifiers),
-            "grids": {kind: {n: list(v) for n, v in axes.items()} for kind, axes in self.grids.items()},
-            "cv_folds": self.cv_folds,
-            "selected_classifier": self.selected_classifier,
-            "venkatraman_permutations": self.venkatraman_permutations,
-            "learning_curve_sizes": list(self.learning_curve_sizes),
-            "learning_curve_repeats": self.learning_curve_repeats,
-            "tracker_jsonl": self.tracker_jsonl,
-            "webhook_url": self.webhook_url,
-            "jobs": self.jobs,
-        }
+        """Every field, nested configs as dicts and tuples as lists: the
+        JSON that `config_from_dict` reads back to an equal config."""
+        return _plain(self)
 
     def run_id(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
         return f"{zlib.crc32(blob):08x}{len(blob):04x}"
+
+
+def _plain(value):
+    """`value` with dataclasses and mappings made dicts and tuples lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def config_from_dict(raw: dict) -> RunConfig:

@@ -224,6 +224,16 @@ class BaseClassifier:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """What a model file stores of this fitted model besides its spec
+        and `classes_`: a JSON-ready `extra` dict and named arrays."""
+        raise NotImplementedError
+
+    def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
+        """Make this unfitted model the one whose `state()` gave `extra` and
+        `arrays`; `classes_` is already set."""
+        raise NotImplementedError
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         proba = self.predict_proba(X)
         assert self.classes_ is not None

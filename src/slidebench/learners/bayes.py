@@ -20,18 +20,26 @@ class NaiveBayes(BaseClassifier):
         k = len(self.classes_)
         n, d = X.shape
         ratio = float(self.spec.param("var_floor_ratio"))
-        self.priors_ = np.bincount(codes, minlength=k) / n
-        self.means_ = np.empty((k, d))
-        self.vars_ = np.empty((k, d))
+        means = np.empty((k, d))
+        variances = np.empty((k, d))
         for c in range(k):
             rows = X[codes == c]
-            self.means_[c] = rows.mean(axis=0)
-            self.vars_[c] = rows.var(axis=0)
+            means[c] = rows.mean(axis=0)
+            variances[c] = rows.var(axis=0)
         max_var = float(X.var(axis=0).max())
         floor = ratio * max_var if max_var > 0 else 1e-12
-        self.vars_ = np.maximum(self.vars_, floor)
-        self._d = d
+        self._set_fitted(np.bincount(codes, minlength=k) / n, means, np.maximum(variances, floor), d)
         return self
+
+    def _set_fitted(self, priors: np.ndarray, means: np.ndarray, variances: np.ndarray, d: int) -> None:
+        self.priors_, self.means_, self.vars_ = priors, means, variances
+        self._d = d
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {"d": self._d}, {"priors": self.priors_, "means": self.means_, "vars": self.vars_}
+
+    def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
+        self._set_fitted(arrays["priors"], arrays["means"], arrays["vars"], extra["d"])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_predict_input(X)

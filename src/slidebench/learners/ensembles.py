@@ -17,7 +17,6 @@ import numpy as np
 
 from .base import (
     BaseClassifier,
-    ClassifierSpec,
     check_training_inputs,
     normalize_rows,
     one_hot,
@@ -30,12 +29,21 @@ from .trees import FittedTree, grow_tree, tree_setup
 _EPS = 1e-12
 
 
+def _numbered_arrays(trees: list[FittedTree]) -> dict[str, np.ndarray]:
+    """The arrays of each `trees[i]`, named under the prefix `t<i>/`."""
+    arrays: dict[str, np.ndarray] = {}
+    for i, tree in enumerate(trees):
+        arrays.update(tree.to_arrays(f"t{i}/"))
+    return arrays
+
+
+def _numbered_trees(arrays: dict[str, np.ndarray], n_trees: int) -> list[FittedTree]:
+    """The `n_trees` trees that `_numbered_arrays` stored in `arrays`."""
+    return [FittedTree.from_arrays(arrays, f"t{i}/") for i in range(n_trees)]
+
+
 class RandomForest(BaseClassifier):
     """Bootstrap-bagged CART trees with per-split feature subsampling."""
-
-    def __init__(self, spec: ClassifierSpec):
-        super().__init__(spec)
-        self.trees_: list[FittedTree] = []
 
     def _resolve_max_features(self, d: int) -> int | None:
         raw = self.spec.param("max_features")
@@ -56,7 +64,7 @@ class RandomForest(BaseClassifier):
             max_depth=self.spec.param("max_depth"),
             max_features=self._resolve_max_features(d),
         )
-        self.trees_ = []
+        trees = []
         for t in range(self.spec.param("n_estimators")):
             rng = np.random.default_rng(np.random.SeedSequence([self.spec.seed & 0xFFFFFFFF, t]))
             if bootstrap:
@@ -70,9 +78,19 @@ class RandomForest(BaseClassifier):
                 table, "gini", codes, params, n_classes=k,
                 sample_weight=weight, rows=rows, rng=rng,
             )
-            self.trees_.append(tree)
-        self._d = d
+            trees.append(tree)
+        self._set_fitted(trees, d)
         return self
+
+    def _set_fitted(self, trees: list[FittedTree], d: int) -> None:
+        self.trees_ = trees
+        self._d = d
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {"d": self._d, "n_trees": len(self.trees_)}, _numbered_arrays(self.trees_)
+
+    def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
+        self._set_fitted(_numbered_trees(arrays, extra["n_trees"]), extra["d"])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.staged_proba(X, [len(self.trees_)])[0]
@@ -96,11 +114,6 @@ class GradientBoosting(BaseClassifier):
     of p_k(1-p_k)) scaled by the learning rate.
     """
 
-    def __init__(self, spec: ClassifierSpec):
-        super().__init__(spec)
-        self.rounds_: list[list[FittedTree]] = []
-        self.train_loss_: list[float] = []
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoosting":
         X, y = check_training_inputs(X, y)
         codes = self._encode(y)
@@ -110,11 +123,11 @@ class GradientBoosting(BaseClassifier):
         table, params = tree_setup(self.spec, X, max_depth=self.spec.param("max_depth"))
         Y = one_hot(codes, k)
         F = np.zeros((n, k))
-        self.rounds_ = []
-        self.train_loss_ = []
+        rounds = []
+        train_loss = []
         for _ in range(self.spec.param("n_estimators")):
             P = softmax(F)
-            self.train_loss_.append(_cross_entropy(P, codes))
+            train_loss.append(_cross_entropy(P, codes))
             stage: list[FittedTree] = []
             for c in range(k):
                 residual = Y[:, c] - P[:, c]
@@ -126,10 +139,28 @@ class GradientBoosting(BaseClassifier):
                 tree.value = (num / np.maximum(den, _EPS))[:, None]
                 stage.append(tree)
                 F[:, c] += lr * tree.value[leaf_of_row, 0]
-            self.rounds_.append(stage)
-        self.train_loss_.append(_cross_entropy(softmax(F), codes))
-        self._d = d
+            rounds.append(stage)
+        train_loss.append(_cross_entropy(softmax(F), codes))
+        self._set_fitted(rounds, train_loss, d)
         return self
+
+    def _set_fitted(self, rounds: list[list[FittedTree]], train_loss: list[float], d: int) -> None:
+        self.rounds_, self.train_loss_ = rounds, train_loss
+        self._d = d
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        arrays = {"train_loss": np.asarray(self.train_loss_)}
+        for r, stage in enumerate(self.rounds_):
+            for c, tree in enumerate(stage):
+                arrays.update(tree.to_arrays(f"r{r}/c{c}/"))
+        return {"d": self._d, "n_rounds": len(self.rounds_), "n_classes": len(self.classes_)}, arrays
+
+    def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
+        rounds = [
+            [FittedTree.from_arrays(arrays, f"r{r}/c{c}/") for c in range(extra["n_classes"])]
+            for r in range(extra["n_rounds"])
+        ]
+        self._set_fitted(rounds, arrays["train_loss"].tolist(), extra["d"])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.staged_proba(X, [len(self.rounds_)])[0]
@@ -159,11 +190,6 @@ class AdaBoost(BaseClassifier):
     1 - 1/K; a perfect learner is kept and ends the loop.
     """
 
-    def __init__(self, spec: ClassifierSpec):
-        super().__init__(spec)
-        self.trees_: list[FittedTree] = []
-        self.alphas_: list[float] = []
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "AdaBoost":
         X, y = check_training_inputs(X, y)
         codes = self._encode(y)
@@ -171,8 +197,8 @@ class AdaBoost(BaseClassifier):
         k = len(self.classes_)
         table, params = tree_setup(self.spec, X, max_depth=self.spec.param("base_depth"))
         w = np.full(n, 1.0 / n)
-        self.trees_ = []
-        self.alphas_ = []
+        trees = []
+        alphas = []
         for _ in range(self.spec.param("n_estimators")):
             tree, leaf_of_row = grow_tree(
                 table, "gini", codes, params, n_classes=k, sample_weight=w
@@ -186,16 +212,27 @@ class AdaBoost(BaseClassifier):
                 break
             if err < _EPS:
                 # Perfect learner: dominate the vote and stop.
-                self.trees_.append(tree)
-                self.alphas_.append(np.log((1.0 - _EPS) / _EPS) + np.log(k - 1.0))
+                trees.append(tree)
+                alphas.append(np.log((1.0 - _EPS) / _EPS) + np.log(k - 1.0))
                 break
             alpha = np.log((1.0 - err) / err) + np.log(k - 1.0)
-            self.trees_.append(tree)
-            self.alphas_.append(alpha)
+            trees.append(tree)
+            alphas.append(alpha)
             w = w * np.exp(alpha * miss)
             w = w / w.sum()
-        self._d = d
+        self._set_fitted(trees, alphas, d)
         return self
+
+    def _set_fitted(self, trees: list[FittedTree], alphas: list[float], d: int) -> None:
+        self.trees_, self.alphas_ = trees, alphas
+        self._d = d
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        arrays = {"alphas": np.asarray(self.alphas_), **_numbered_arrays(self.trees_)}
+        return {"d": self._d, "n_trees": len(self.trees_)}, arrays
+
+    def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
+        self._set_fitted(_numbered_trees(arrays, extra["n_trees"]), arrays["alphas"].tolist(), extra["d"])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.staged_proba(X, [len(self.trees_)])[0]

@@ -8,7 +8,6 @@ import numpy as np
 
 from .base import (
     BaseClassifier,
-    ClassifierSpec,
     Standardizer,
     chan_sum,
     check_training_inputs,
@@ -74,13 +73,6 @@ class LogisticRegression(BaseClassifier):
     below `tol` or after `max_iter` steps.
     """
 
-    def __init__(self, spec: ClassifierSpec):
-        super().__init__(spec)
-        self.W_: np.ndarray | None = None
-        self.b_: np.ndarray | None = None
-        self.scaler_: Standardizer | None = None
-        self.n_iter_: int = 0
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
         X, y = check_training_inputs(X, y)
         codes = self._encode(y)
@@ -89,8 +81,8 @@ class LogisticRegression(BaseClassifier):
         max_iter = int(self.spec.param("max_iter"))
         tol = float(self.spec.param("tol"))
 
-        self.scaler_ = Standardizer.fit(X)
-        Xs = self.scaler_.transform(X)
+        scaler = Standardizer.fit(X)
+        Xs = scaler.transform(X)
         Y = one_hot(codes, k)
         W = np.zeros((X.shape[1], k))
         b = np.zeros(k)
@@ -123,9 +115,20 @@ class LogisticRegression(BaseClassifier):
             W, b, loss = W_t, b_t, cand
             step = t
         self.n_iter_ = it + 1 if max_iter else 0
-        self.W_, self.b_ = W, b
-        self._d = X.shape[1]
+        self._set_fitted(W, b, scaler)
         return self
+
+    def _set_fitted(self, W: np.ndarray, b: np.ndarray, scaler: Standardizer) -> None:
+        self.W_, self.b_, self.scaler_ = W, b, scaler
+        self._d = W.shape[0]
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        scaler = self.scaler_
+        return {}, {"W": self.W_, "b": self.b_, "scaler_mean": scaler.mean, "scaler_scale": scaler.scale}
+
+    def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
+        scaler = Standardizer(arrays["scaler_mean"], arrays["scaler_scale"])
+        self._set_fitted(arrays["W"], arrays["b"], scaler)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_predict_input(X)

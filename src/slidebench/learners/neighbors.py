@@ -17,11 +17,19 @@ class KNearestNeighbor(BaseClassifier):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KNearestNeighbor":
         X, y = check_training_inputs(X, y)
-        self._codes = self._encode(y)
-        self._X = X
+        self._set_fitted(X, self._encode(y))
+        return self
+
+    def _set_fitted(self, X: np.ndarray, codes: np.ndarray) -> None:
+        self._X, self._codes = X, codes
         self._sq = (X * X).sum(axis=1)
         self._d = X.shape[1]
-        return self
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {}, {"X": self._X, "codes": self._codes}
+
+    def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
+        self._set_fitted(arrays["X"], arrays["codes"])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.staged_proba(X, [self.spec.param("k")])[0]

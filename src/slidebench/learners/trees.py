@@ -215,6 +215,15 @@ class FittedTree:
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
 
+    def to_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """The node arrays, named `<prefix><field>` as a model file stores them."""
+        return {prefix + f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "") -> "FittedTree":
+        """The tree `to_arrays(prefix)` stored in `arrays`."""
+        return cls(**{f.name: arrays[prefix + f.name] for f in fields(cls)})
+
 
 class _NodeStore:
     def __init__(self, n_values: int):
@@ -549,17 +558,23 @@ def _search(state, counts, totals, act, slots, feats, max_b, first):
 class DecisionTree(BaseClassifier):
     """Single CART classifier with Gini impurity splits."""
 
-    def __init__(self, spec: ClassifierSpec):
-        super().__init__(spec)
-        self.tree_: FittedTree | None = None
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         X, y = check_training_inputs(X, y)
         codes = self._encode(y)
         table, params = tree_setup(self.spec, X, max_depth=self.spec.param("max_depth"))
-        self.tree_, _ = grow_tree(table, "gini", codes, params, n_classes=len(self.classes_))
-        self._d = X.shape[1]
+        tree, _ = grow_tree(table, "gini", codes, params, n_classes=len(self.classes_))
+        self._set_fitted(tree, X.shape[1])
         return self
+
+    def _set_fitted(self, tree: FittedTree, d: int) -> None:
+        self.tree_ = tree
+        self._d = d
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {"d": self._d}, self.tree_.to_arrays()
+
+    def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
+        self._set_fitted(FittedTree.from_arrays(arrays), extra["d"])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.staged_proba(X, [None])[0]

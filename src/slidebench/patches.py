@@ -106,14 +106,23 @@ def resize(patch: np.ndarray, out_h: int = OUTPUT_SIZE, out_w: int = OUTPUT_SIZE
     return top * (1 - fy) + bot * fy
 
 
+# The parameter names each transform kind takes.
+TRANSFORM_PARAMS = {
+    "hflip": ("p",),
+    "vflip": ("p",),
+    "gaussian_noise": ("sigma",),
+    "motion_blur": ("k",),
+    "median_blur": ("k",),
+    "gaussian_blur": ("k", "sigma"),
+    "affine": ("translate_x", "translate_y", "scale", "rotate"),
+    "brightness_contrast": ("brightness", "contrast"),
+}
+
+
 @dataclass(frozen=True)
 class Transform:
-    """One augmentation step: a name plus its parameters.
-
-    Supported kinds: hflip(p), vflip(p), gaussian_noise(sigma),
-    motion_blur(k), median_blur(k), gaussian_blur(k, sigma),
-    affine(translate, scale, rotate), brightness_contrast(brightness,
-    contrast). Flip probabilities and noise draw from the spec's RNG; the
+    """One augmentation step: a kind from `TRANSFORM_PARAMS` plus its
+    parameters. Flip probabilities and noise draw from the spec's RNG; the
     remaining transforms apply their parameters exactly.
     """
 
@@ -136,6 +145,12 @@ def transform(kind: str, **params: float) -> Transform:
 
 
 def _validate_transform(t: Transform) -> None:
+    names = TRANSFORM_PARAMS.get(t.kind)
+    if names is None:
+        raise ValueError(f"unknown transform kind {t.kind!r}")
+    for name, _ in t.params:
+        if name not in names:
+            raise ValueError(f"transform {t.kind!r} has no parameter {name!r}")
     if t.kind in ("hflip", "vflip"):
         p = t.param("p", 1.0)
         if not 0.0 <= p <= 1.0:
@@ -150,10 +165,6 @@ def _validate_transform(t: Transform) -> None:
     elif t.kind == "affine":
         if t.param("scale", 1.0) <= 0:
             raise ValueError("affine scale must be > 0")
-    elif t.kind == "brightness_contrast":
-        pass
-    else:
-        raise ValueError(f"unknown transform kind {t.kind!r}")
 
 
 @dataclass(frozen=True)

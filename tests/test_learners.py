@@ -1,20 +1,24 @@
 """The seven classifiers: correctness oracles, contracts, serialization."""
 
 import hashlib
+import json
+import re
+import struct
 
 import numpy as np
 import pytest
 
+from slidebench.fileio import write_framed
 from slidebench.learners import (
     ClassifierSpec,
     KINDS,
+    ModelFormatError,
     build_classifier,
     default_grid,
     load_model,
     save_model,
 )
 from slidebench.learners.base import PARAMS, one_hot
-from slidebench.learners.io import _collect_state
 from slidebench.learners.linear import LogisticRegression, gradients, objective
 from slidebench.learners import trees
 from slidebench.learners.trees import bin_features, grow_tree, TreeParams
@@ -105,7 +109,8 @@ class TestCommonContracts:
         X, y, Xt, _ = blob_data
         spelled = {name: p.default for name, p in PARAMS[kind].items()}
         fits = [build_classifier(ClassifierSpec(kind, params, seed=3)).fit(X, y) for params in ({}, spelled)]
-        (extra_a, arrays_a), (extra_b, arrays_b) = (_collect_state(m) for m in fits)
+        (extra_a, arrays_a), (extra_b, arrays_b) = (m.state() for m in fits)
+        assert fits[0].classes_.tobytes() == fits[1].classes_.tobytes()
         assert extra_a == extra_b
         assert arrays_a.keys() == arrays_b.keys()
         for name in arrays_a:
@@ -928,7 +933,83 @@ class TestEnsembles:
             assert rows[tree.feature < 0].min() >= 40
 
 
+# sha256 of the saved models of the three kinds without trees, fit on
+# `_engine_data()`, recorded at 8be16f6 (numpy 2.4, x86-64), before each
+# classifier stored its own state.
+GOLDEN_TREELESS_MODELS = {
+    "logistic_regression": (
+        ClassifierSpec("logistic_regression", {"l2": 1e-2, "tol": 1e-5}, seed=4),
+        "7378baf5d8b8dd6b56997e979a6c9dd8e95dd000795160a6a60101e72f6dbe47",
+    ),
+    "knn": (
+        ClassifierSpec("knn", {"k": 5}, seed=4),
+        "5f8f7f5f4bde7a9928b96a0c7ad539045e0d7006184368945f8f6e7663d29b3c",
+    ),
+    "naive_bayes": (
+        ClassifierSpec("naive_bayes", {}, seed=4),
+        "5b9dfa53d6221c2f4a5973efe0340a2a289455701159f67b9f458b454e48af4f",
+    ),
+}
+
+_DTYPE_CODES = {np.dtype("<f8"): 0, np.dtype("<i8"): 2}
+
+
+def _write_modl(path, kind: str, meta: dict, arrays: dict):
+    """A correctly framed model file with exactly this kind, meta and arrays."""
+    kind_raw, meta_raw = kind.encode(), json.dumps(meta).encode()
+    body = struct.pack("<H", len(kind_raw)) + kind_raw + struct.pack("<I", len(meta_raw)) + meta_raw
+    body += struct.pack("<I", len(arrays))
+    for name, arr in arrays.items():
+        body += struct.pack("<H", len(name)) + name.encode()
+        body += struct.pack(f"<BB{arr.ndim}I", _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape)
+        body += arr.tobytes()
+    return write_framed(path, b"MODL", 1, body)
+
+
+def _naive_bayes_file(path, kind="naive_bayes", params=None, drop=()):
+    """A two-feature, three-class naive Bayes model file, less the meta
+    keys and arrays named in `drop`."""
+    meta = {"kind": kind, "params": params or {}, "seed": 0, "extra": {"d": 2}}
+    arrays = {
+        "classes": np.arange(3, dtype=np.int64),
+        "priors": np.full(3, 1 / 3),
+        "means": np.arange(6.0).reshape(3, 2),
+        "vars": np.ones((3, 2)),
+    }
+    keep = lambda entries: {k: v for k, v in entries.items() if k not in drop}
+    return _write_modl(path, kind, keep(meta), keep(arrays))
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_TREELESS_MODELS))
+    def test_treeless_model_bytes_unchanged(self, kind, tmp_path):
+        spec, digest = GOLDEN_TREELESS_MODELS[kind]
+        X, y = _engine_data()
+        path = save_model(build_classifier(spec).fit(X, y), tmp_path / f"{kind}.modl")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_hand_built_file_loads(self, tmp_path):
+        model = load_model(_naive_bayes_file(tmp_path / "m.modl"))
+        assert model.predict(np.array([[0.0, 1.0], [4.0, 5.0]])).tolist() == [0, 2]
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ({"kind": "foo"}, "unknown classifier kind 'foo'"),
+            ({"params": {"sigma": 1.0}}, "naive_bayes has no parameter 'sigma'"),
+            ({"params": {"var_floor_ratio": -1.0}}, "var_floor_ratio must be >= 0"),
+            ({"drop": ("seed",)}, "'seed'"),
+            ({"drop": ("extra",)}, "'extra'"),
+            ({"drop": ("classes",)}, "'classes'"),
+            ({"drop": ("vars",)}, "'vars'"),
+        ],
+        ids=["kind", "param_name", "param_value", "seed", "extra", "classes", "vars"],
+    )
+    def test_wrong_content_names_the_file(self, case, message, tmp_path):
+        path = _naive_bayes_file(tmp_path / "m.modl", **case)
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load_model(path)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_round_trip_preserves_predictions(self, kind, tmp_path, blob_data):
         X, y, Xt, _ = blob_data
@@ -938,16 +1019,15 @@ class TestSerialization:
         assert back.spec == model.spec
         np.testing.assert_array_equal(back.predict_proba(Xt), model.predict_proba(Xt))
 
-    def test_rewrite_identical_bytes(self, tmp_path, blob_data):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rewrite_identical_bytes(self, kind, tmp_path, blob_data):
         X, y, _, _ = blob_data
-        model = build_classifier(ClassifierSpec("decision_tree", params={"max_depth": 3})).fit(X, y)
+        model = build_classifier(ClassifierSpec(kind, params=ALL_PARAMS[kind], seed=2)).fit(X, y)
         p1 = save_model(model, tmp_path / "a.modl")
         p2 = save_model(load_model(p1), tmp_path / "b.modl")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic(self, tmp_path, blob_data):
-        from slidebench.learners import ModelFormatError
-
         X, y, _, _ = blob_data
         model = build_classifier(ClassifierSpec("naive_bayes")).fit(X, y)
         path = save_model(model, tmp_path / "m.modl")
@@ -958,8 +1038,6 @@ class TestSerialization:
             load_model(path)
 
     def test_corruption_detected(self, tmp_path, blob_data):
-        from slidebench.learners import ModelFormatError
-
         X, y, _, _ = blob_data
         model = build_classifier(ClassifierSpec("knn", params={"k": 2})).fit(X, y)
         path = save_model(model, tmp_path / "m.modl")

@@ -6,6 +6,7 @@ import pytest
 from slidebench.patches import (
     AugmentationSpec,
     NormalizationParams,
+    Transform,
     augment,
     denormalize,
     grid_shape,
@@ -166,8 +167,12 @@ class TestAugment:
 
     def test_kernel_size_one_is_identity(self):
         img = checker(12, 12)
-        for kind in ("motion_blur", "median_blur", "gaussian_blur"):
-            out = augment(img, AugmentationSpec((transform(kind, k=1, sigma=1.0),), seed=0))
+        for t in (
+            transform("motion_blur", k=1),
+            transform("median_blur", k=1),
+            transform("gaussian_blur", k=1, sigma=1.0),
+        ):
+            out = augment(img, AugmentationSpec((t,), seed=0))
             np.testing.assert_array_equal(out, img)
 
     def test_even_kernel_rejected(self):
@@ -177,6 +182,23 @@ class TestAugment:
     def test_unknown_transform_rejected(self):
         with pytest.raises(ValueError, match="unknown transform"):
             transform("solarize", p=1.0)
+
+    @pytest.mark.parametrize(
+        "kind, params, name",
+        [
+            ("affine", {"rotation": 30.0}, "rotation"),
+            ("gaussian_blur", {"k": 5, "sgima": 2.0}, "sgima"),
+            ("motion_blur", {"k": 3, "sigma": 1.0}, "sigma"),
+            ("hflip", {"p": 1.0, "q": 0.5}, "q"),
+        ],
+    )
+    def test_unknown_parameter_rejected(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"transform '{kind}' has no parameter '{name}'"):
+            transform(kind, **params)
+
+    def test_transform_built_directly_is_checked_when_applied(self):
+        with pytest.raises(ValueError, match="has no parameter 'rotation'"):
+            augment(checker(8, 8), AugmentationSpec((Transform("affine", (("rotation", 30.0),)),)))
 
     def test_transform_order_matters(self):
         img = checker(16, 16)

@@ -632,6 +632,13 @@ class TestConfig:
         assert cfg.to_dict() == raw  # lists stay lists: [3] != (3,)
         assert dataclasses.replace(cfg, seed=cfg.seed).to_dict() == raw
 
+    def test_to_dict_has_every_field(self, tmp_path):
+        # Every field feeds run_id, so none may be left out of to_dict.
+        raw = small_config(tmp_path).to_dict()
+        assert set(raw) == {f.name for f in dataclasses.fields(RunConfig)}
+        for backend in raw["backends"]:
+            assert set(backend) == {f.name for f in dataclasses.fields(BackendConfig)}
+
     def test_fields_cannot_be_assigned(self, tmp_path):
         cfg = small_config(tmp_path)
         with pytest.raises(dataclasses.FrozenInstanceError):
