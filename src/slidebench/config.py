@@ -9,13 +9,22 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from .embeddings import BACKEND_KINDS, BackendSpec
+from .embeddings import BackendSpec
 from .learners import KINDS, ClassifierSpec, default_grid
+from .learners.base import _is_int
 from .manifest import is_path_component
 
 
 class ConfigError(ValueError):
     """Raised for invalid or incomplete run configuration."""
+
+
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """Reject a non-integer (`true` too, as for classifier counts) or one below `low`."""
+    if not _is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -36,14 +45,16 @@ class BackendConfig:
             raise ConfigError("backend name must be non-empty")
         if not is_path_component(self.name):
             raise ConfigError(f"backend name {self.name!r} is not a plain name")
-        if self.kind not in BACKEND_KINDS:
-            raise ConfigError(f"unknown backend kind {self.kind!r}")
-        if self.dim < 1:
-            raise ConfigError("backend dim must be >= 1")
+        for name in ("dim", "patch_count_min", "patch_count_max"):
+            _check_int(f"backend {self.name!r}: {name}", getattr(self, name))
+        if self.seed is not None:
+            _check_int(f"backend {self.name!r}: seed", self.seed)
         if not 1 <= self.patch_count_min <= self.patch_count_max:
             raise ConfigError("patch count range must satisfy 1 <= min <= max")
-        if self.kind == "precomputed" and not self.source_dir:
-            raise ConfigError(f"backend {self.name!r}: precomputed kind needs source_dir")
+        try:
+            self.spec(run_seed=0)  # the run seed only picks the spec's seed
+        except ValueError as exc:
+            raise ConfigError(f"backend {self.name!r}: {exc}") from None
 
     def spec(self, run_seed: int) -> BackendSpec:
         seed = self.seed if self.seed is not None else derive_seed(run_seed, self.name)
@@ -93,6 +104,13 @@ class RunConfig:
             object.__setattr__(self, name, tuple(value))
         if self.seed is None:
             raise ConfigError("seed is mandatory")
+        _check_int("seed", self.seed)
+        _check_int("cv_folds", self.cv_folds, 2)
+        _check_int("venkatraman_permutations", self.venkatraman_permutations, 1)
+        _check_int("learning_curve_repeats", self.learning_curve_repeats, 1)
+        _check_int("jobs", self.jobs, 1)
+        for size in self.learning_curve_sizes:
+            _check_int("learning_curve_sizes", size, 1)
         if not self.backends:
             raise ConfigError("at least one backend is required")
         names = [b.name for b in self.backends]
@@ -105,20 +123,9 @@ class RunConfig:
             raise ConfigError(
                 f"selected classifier {self.selected_classifier!r} is not in the classifier list"
             )
-        if self.cv_folds < 2:
-            raise ConfigError("cv_folds must be >= 2")
-        if self.venkatraman_permutations < 1:
-            raise ConfigError("venkatraman_permutations must be >= 1")
-        if self.learning_curve_sizes:
-            sizes = self.learning_curve_sizes
-            if any(b <= a for a, b in zip(sizes, sizes[1:])):
-                raise ConfigError("learning_curve_sizes must be strictly increasing")
-            if sizes[0] < 1:
-                raise ConfigError("learning_curve_sizes must be positive")
-        if self.learning_curve_repeats < 1:
-            raise ConfigError("learning_curve_repeats must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        sizes = self.learning_curve_sizes
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ConfigError("learning_curve_sizes must be strictly increasing")
         if not self.tracker_jsonl or not is_path_component(self.tracker_jsonl):
             # The event log is written at `<out_dir>/<tracker_jsonl>`.
             raise ConfigError(f"tracker_jsonl {self.tracker_jsonl!r} is not a plain name")

@@ -99,7 +99,7 @@ class BackendSpec:
                 raise ValueError("class_separation must be >= 0")
             if self.dim < 3:
                 raise ValueError("synthetic backend needs dim >= 3 for orthogonal class means")
-        if self.kind == "precomputed" and self.source_dir is None:
+        if self.kind == "precomputed" and not self.source_dir:
             raise ValueError("precomputed backend requires source_dir")
 
 

@@ -36,6 +36,8 @@ class ModelFormatError(ValueError):
 
 
 def save_model(model: BaseClassifier, path: str | Path) -> Path:
+    if model._d is None:
+        raise ValueError("classifier is not fitted")
     extra, state = model.state()
     arrays = {"classes": np.asarray(model.classes_, dtype=np.int64), **state}
     meta = {
@@ -95,6 +97,7 @@ def load_model(path: str | Path) -> BaseClassifier:
         raise
     except KeyError as exc:
         raise ModelFormatError(f"{path}: no meta key or array {exc.args[0]!r}") from None
-    except ValueError as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
+        # A meta value of the wrong JSON type, e.g. `params` a list or `extra` a string.
         raise ModelFormatError(f"{path}: {exc}") from None
     return model

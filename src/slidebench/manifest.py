@@ -19,6 +19,7 @@ from .categories import (
     Subset,
     effective_subset,
 )
+from .fileio import write_atomic
 
 
 class ManifestError(ValueError):
@@ -181,7 +182,7 @@ def serialize_manifest(manifest: Manifest, delimiter: str = ",") -> str:
 
 
 def write_manifest(manifest: Manifest, path: str | Path, delimiter: str = ",") -> None:
-    Path(path).write_text(serialize_manifest(manifest, delimiter=delimiter), encoding="utf-8")
+    write_atomic(path, (serialize_manifest(manifest, delimiter=delimiter).encode("utf-8"),))
 
 
 def filter_categories(manifest: Manifest, keep: Iterable[Category]) -> Manifest:

@@ -176,16 +176,13 @@ def aggregate_stage(
 
 @dataclass
 class FitResult:
+    """What the tables and tracker events need of one fit task; the task
+    has written its own documents."""
+
     backend: str
     kind: str
-    cv_grid: list[dict]
-    best_params: dict
     best_cv_accuracy: float
-    model: object
-    proba: np.ndarray
     report: EvaluationReport
-    test_slide_ids: list[str]
-    test_labels: np.ndarray
 
 
 # Backend name -> (train rows, train labels, test rows, test labels, test
@@ -200,50 +197,50 @@ def _set_stage_data(data: dict[str, tuple]) -> None:
     _stage_data = data
 
 
+def _fit_arrays(dm: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """A design's rows and labels as the float64 and int64 arrays the learners fit."""
+    return dm.rows.astype(np.float64), dm.labels.astype(np.int64)
+
+
 def _fit_one(args: tuple) -> FitResult:
-    backend_name, kind, grid, cv_folds, cv_seed = args
+    """Cross-validate, refit and evaluate one (backend, classifier) pair,
+    and write its cv, model, report and predictions documents under
+    `backend_dir`."""
+    backend_name, kind, grid, cv_folds, cv_seed, backend_dir = args
     rows_tr, y_tr, rows_te, y_te, ids_te = _stage_data[backend_name]
     plan = CvPlan(n_folds=cv_folds, seed=cv_seed)
     cv = cross_validate(grid, rows_tr, y_tr, plan)
+    best_cv_accuracy = float(cv.mean_accuracy[cv.best_index])
     model = build_classifier(cv.best_spec).fit(rows_tr, y_tr)
     proba = model.predict_proba(rows_te)
-    report = classification_report(
-        y_te, proba, classifier_id=cv.best_spec.spec_id(), backend=backend_name
-    )
-    return FitResult(
-        backend=backend_name,
-        kind=kind,
-        cv_grid=cv.summary(),
-        best_params=dict(cv.best_spec.params),
-        best_cv_accuracy=float(cv.mean_accuracy[cv.best_index]),
-        model=model,
-        proba=proba,
-        report=report,
-        test_slide_ids=ids_te,
-        test_labels=y_te,
-    )
+    report = classification_report(y_te, proba, classifier_id=cv.best_spec.spec_id(), backend=backend_name)
+    base = Path(backend_dir)
+    best = {"params": dict(cv.best_spec.params), "seed": cv.best_spec.seed, "mean_accuracy": best_cv_accuracy}
+    _write_json(base / "cv" / f"{kind}.json", {"kind": kind, "grid": cv.summary(), "best": best})
+    save_model(model, base / "models" / f"{kind}.modl")
+    _write_json(base / "reports" / f"{kind}.json", report.to_dict())
+    _write_json(base / "predictions" / f"{kind}.json", {
+        "backend": backend_name, "kind": kind, "slide_ids": ids_te,
+        "y_true": y_te.tolist(), "proba": proba.tolist(),
+    })
+    return FitResult(backend=backend_name, kind=kind, best_cv_accuracy=best_cv_accuracy, report=report)
 
 
 def train_evaluate_stage(
     cfg: RunConfig, designs: dict[str, DesignMatrix], tracker: Tracker | None = None
 ) -> dict[tuple[str, str], FitResult]:
     """Cross-validate, fit, and evaluate every (backend, classifier) pair,
-    then write the accuracy and F1 tables over all of them."""
+    each task writing its own documents, then write the accuracy and F1
+    tables over all of them."""
     data: dict[str, tuple] = {}
     tasks = []
+    cv_seed = derive_seed(cfg.seed, "cv")
     for backend in cfg.backends:
         train_dm, test_dm = split_design(designs[backend.name])
-        data[backend.name] = (
-            train_dm.rows.astype(np.float64),
-            train_dm.labels.astype(np.int64),
-            test_dm.rows.astype(np.float64),
-            test_dm.labels.astype(np.int64),
-            list(test_dm.slide_ids),
-        )
+        data[backend.name] = (*_fit_arrays(train_dm), *_fit_arrays(test_dm), list(test_dm.slide_ids))
+        backend_dir = str(Path(cfg.out_dir) / backend.name)
         for kind in cfg.classifiers:
-            tasks.append(
-                (backend.name, kind, cfg.classifier_grid(kind), cfg.cv_folds, derive_seed(cfg.seed, "cv"))
-            )
+            tasks.append((backend.name, kind, cfg.classifier_grid(kind), cfg.cv_folds, cv_seed, backend_dir))
 
     _set_stage_data(data)
     try:
@@ -260,35 +257,9 @@ def train_evaluate_stage(
     finally:
         _set_stage_data({})
 
-    results: dict[tuple[str, str], FitResult] = {}
-    for res in fitted:
-        results[(res.backend, res.kind)] = res
-        base = Path(cfg.out_dir) / res.backend
-        _write_json(
-            base / "cv" / f"{res.kind}.json",
-            {
-                "kind": res.kind,
-                "grid": res.cv_grid,
-                "best": {
-                    "params": res.best_params,
-                    "seed": res.model.spec.seed,
-                    "mean_accuracy": res.best_cv_accuracy,
-                },
-            },
-        )
-        save_model(res.model, base / "models" / f"{res.kind}.modl")
-        _write_json(base / "reports" / f"{res.kind}.json", res.report.to_dict())
-        _write_json(
-            base / "predictions" / f"{res.kind}.json",
-            {
-                "backend": res.backend,
-                "kind": res.kind,
-                "slide_ids": res.test_slide_ids,
-                "y_true": res.test_labels.tolist(),
-                "proba": res.proba.tolist(),
-            },
-        )
-        if tracker is not None:
+    results = {(res.backend, res.kind): res for res in fitted}
+    if tracker is not None:
+        for res in fitted:
             tracker.track("train", f"{res.backend}/{res.kind}/cv_accuracy", res.best_cv_accuracy)
             tracker.track("evaluate", f"{res.backend}/{res.kind}/test_accuracy", res.report.accuracy)
     _write_json(Path(cfg.out_dir) / "accuracy_table.json", accuracy_table(cfg, results))
@@ -490,8 +461,8 @@ def learning_curve(
         raise FileNotFoundError(f"design matrix not found: {design_path} (run aggregate first)")
     dm = load_design(design_path)
     train_dm, test_dm = split_design(dm)
-    y_tr = train_dm.labels.astype(np.int64)
-    y_te = test_dm.labels.astype(np.int64)
+    X_tr, y_tr = _fit_arrays(train_dm)
+    X_te, y_te = _fit_arrays(test_dm)
     n_train = train_dm.n
     n_classes = np.unique(y_tr).size
 
@@ -508,8 +479,6 @@ def learning_curve(
     if sizes[-1] < n_train:
         sizes = sizes + [n_train]
 
-    X_tr = train_dm.rows.astype(np.float64)
-    X_te = test_dm.rows.astype(np.float64)
     train_means, test_means = [], []
     for si, size in enumerate(sizes):
         tr_runs, te_runs = [], []
@@ -535,37 +504,29 @@ def learning_curve(
 
 def emit_report_plots(report: dict, out_dir: str | Path, stem: str) -> list[Path]:
     """ROC and PR SVGs from a serialized evaluation report."""
-    out_dir = Path(out_dir)
-    written = []
-    roc_series = []
+    roc, pr = [], []
     for name, curve in sorted(report["roc_curves"].items()):
         auc = report["per_class"][name]["auroc"]
         label = f"{name} (AUROC={auc:.3f})" if auc is not None else name
-        roc_series.append((label, np.asarray(curve["fpr"]), np.asarray(curve["tpr"])))
-    if roc_series:
-        svg = line_plot(
-            roc_series,
-            title=f"ROC curves: {stem}",
-            x_label="False positive rate",
-            y_label="True positive rate",
-            x_range=(0.0, 1.0),
-            y_range=(0.0, 1.0),
-            diagonal=True,
-        )
-        written.append(write_svg(svg, out_dir / f"{stem}_roc.svg"))
-    pr_series = []
+        roc.append((label, np.asarray(curve["fpr"]), np.asarray(curve["tpr"])))
     for name, curve in sorted(report["pr_curves"].items()):
-        pr_series.append((name, np.asarray(curve["recall"]), np.asarray(curve["precision"])))
-    if pr_series:
-        svg = line_plot(
-            pr_series,
-            title=f"Precision-recall curves: {stem}",
-            x_label="Recall",
-            y_label="Precision",
-            x_range=(0.0, 1.0),
-            y_range=(0.0, 1.0),
-        )
-        written.append(write_svg(svg, out_dir / f"{stem}_pr.svg"))
+        pr.append((name, np.asarray(curve["recall"]), np.asarray(curve["precision"])))
+    written = []
+    for suffix, series, title, x_label, y_label in (
+        ("roc", roc, "ROC curves", "False positive rate", "True positive rate"),
+        ("pr", pr, "Precision-recall curves", "Recall", "Precision"),
+    ):
+        if series:
+            svg = line_plot(
+                series,
+                title=f"{title}: {stem}",
+                x_label=x_label,
+                y_label=y_label,
+                x_range=(0.0, 1.0),
+                y_range=(0.0, 1.0),
+                diagonal=suffix == "roc",
+            )
+            written.append(write_svg(svg, Path(out_dir) / f"{stem}_{suffix}.svg"))
     return written
 
 

@@ -966,10 +966,10 @@ def _write_modl(path, kind: str, meta: dict, arrays: dict):
     return write_framed(path, b"MODL", 1, body)
 
 
-def _naive_bayes_file(path, kind="naive_bayes", params=None, drop=()):
+def _naive_bayes_file(path, kind="naive_bayes", params=None, extra=None, drop=()):
     """A two-feature, three-class naive Bayes model file, less the meta
     keys and arrays named in `drop`."""
-    meta = {"kind": kind, "params": params or {}, "seed": 0, "extra": {"d": 2}}
+    meta = {"kind": kind, "params": params or {}, "seed": 0, "extra": {"d": 2} if extra is None else extra}
     arrays = {
         "classes": np.arange(3, dtype=np.int64),
         "priors": np.full(3, 1 / 3),
@@ -1002,8 +1002,10 @@ class TestSerialization:
             ({"drop": ("extra",)}, "'extra'"),
             ({"drop": ("classes",)}, "'classes'"),
             ({"drop": ("vars",)}, "'vars'"),
+            ({"params": ["var_floor_ratio"]}, "'list' object has no attribute 'items'"),
+            ({"extra": "d"}, "string indices must be integers"),
         ],
-        ids=["kind", "param_name", "param_value", "seed", "extra", "classes", "vars"],
+        ids=["kind", "param_name", "param_value", "seed", "extra", "classes", "vars", "params_list", "extra_string"],
     )
     def test_wrong_content_names_the_file(self, case, message, tmp_path):
         path = _naive_bayes_file(tmp_path / "m.modl", **case)
@@ -1018,6 +1020,12 @@ class TestSerialization:
         back = load_model(path)
         assert back.spec == model.spec
         np.testing.assert_array_equal(back.predict_proba(Xt), model.predict_proba(Xt))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unfitted_model_not_saved(self, kind, tmp_path):
+        with pytest.raises(ValueError, match="^classifier is not fitted$"):
+            save_model(build_classifier(ClassifierSpec(kind)), tmp_path / "m.modl")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rewrite_identical_bytes(self, kind, tmp_path, blob_data):

@@ -1,6 +1,7 @@
 """Manifest parsing, filtering, and split derivation."""
 
 import io
+import os
 
 import pytest
 
@@ -12,6 +13,7 @@ from slidebench.manifest import (
     filter_categories,
     parse_manifest,
     serialize_manifest,
+    write_manifest,
 )
 
 from conftest import CSV_HEADER, manifest_csv, simple_row
@@ -115,6 +117,18 @@ class TestRoundTrip:
         assert [(r.file, r.category, r.subset) for r in m1] == [
             (r.file, r.category, r.subset) for r in m2
         ]
+
+    def test_rewrite_replaces_the_file(self, tmp_path):
+        # A hard link to the old manifest keeps its bytes: the new text
+        # goes to a fresh file renamed over the name, never into the old one.
+        path, link = tmp_path / "m.csv", tmp_path / "link.csv"
+        write_manifest(parse_text(manifest_csv([simple_row("s1")])), path)
+        old = path.read_bytes()
+        os.link(path, link)
+        write_manifest(parse_text(manifest_csv([simple_row("s1"), simple_row("s2")])), path)
+        assert link.read_bytes() == old
+        assert parse_manifest(path)[1].file == "s2"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "m.csv"]
 
 
 class TestFilter:

@@ -21,7 +21,7 @@ from slidebench.config import BackendConfig, ConfigError, RunConfig, config_from
 from slidebench.design import load_design
 from slidebench.embeddings import BackendSpec, cache_path, extract, write_cache
 from slidebench.fixture import paper_manifest
-from slidebench.learners import ClassifierSpec
+from slidebench.learners import BaseClassifier, ClassifierSpec
 from slidebench.manifest import write_manifest
 from slidebench.runner import (
     StageError,
@@ -598,6 +598,44 @@ class TestConfig:
         with pytest.raises(ConfigError, match="is not a plain name"):
             small_config(tmp_path, tracker_jsonl=name)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"dim": 2}, "synthetic backend needs dim >= 3"),
+        ({"class_separation": -1.0}, "class_separation must be >= 0"),
+        ({"dim": 0}, "backend dim must be >= 1"),
+        ({"kind": "magic"}, "unknown backend kind 'magic'"),
+        ({"kind": "precomputed"}, "precomputed backend requires source_dir"),
+        ({"kind": "precomputed", "source_dir": ""}, "precomputed backend requires source_dir"),
+    ])
+    def test_backend_checked_as_its_spec(self, fields, message):
+        # A backend the extract stage could not build is rejected with the
+        # config, before ingest runs or run_meta.json is written.
+        with pytest.raises(ConfigError, match=f"^backend 'b': {message}"):
+            BackendConfig(**{"name": "b", "kind": "synthetic", "dim": 8, **fields})
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "7"),
+        ("seed", 7.0),
+        ("cv_folds", 2.5),
+        ("cv_folds", True),
+        ("venkatraman_permutations", 10.5),
+        ("learning_curve_repeats", 2.0),
+        ("jobs", 1.5),
+        ("jobs", True),
+        ("learning_curve_sizes", [20, 40.5]),
+        ("backends.dim", 8.0),
+        ("backends.patch_count_min", 2.5),
+        ("backends.patch_count_max", 8.5),
+        ("backends.seed", "4"),
+    ])
+    def test_non_integer_rejected_when_loading(self, tmp_path, key, value):
+        raw = small_config(tmp_path).to_dict()
+        owner, _, name = key.rpartition(".")
+        (raw["backends"][0] if owner else raw)[name] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got "):
+            load_config(path)
+
     def test_workload_style_names_accepted(self):
         assert BackendConfig(name="uni-pre", kind="synthetic", dim=8).name == "uni-pre"
 
@@ -656,12 +694,13 @@ class TestTrainStageTasks:
         # names its backend, so a pool pickles no ndarray per task.
         from slidebench import runner
 
-        tasks = []
+        tasks, returned = [], []
         fit_one = runner._fit_one
 
         def recording_fit_one(args):
             tasks.append(args)
-            return fit_one(args)
+            returned.append(fit_one(args))
+            return returned[-1]
 
         monkeypatch.setattr(runner, "_fit_one", recording_fit_one)
         cfg = small_config(tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn")
@@ -672,6 +711,12 @@ class TestTrainStageTasks:
         for args in tasks:
             assert not any(isinstance(a, np.ndarray) for a in args)
         assert runner._stage_data == {}
+        # A task writes its own documents and sends back only what the
+        # tables and tracker events need: no fitted model, no probabilities.
+        for res in returned:
+            fields = vars(res)
+            assert sorted(fields) == ["backend", "best_cv_accuracy", "kind", "report"]
+            assert not any(isinstance(v, (np.ndarray, BaseClassifier)) for v in fields.values())
 
 
 class TestCli:
