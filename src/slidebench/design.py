@@ -10,7 +10,8 @@ Design-matrix file format (little-endian):
 `aggregate_design` is the one aggregation loop. In a pipeline run the
 extract stage drives it with the matrices it has just read or generated,
 so no cache is read twice; `build_design` drives it from the caches in a
-cache directory, for the stage commands that run without extract.
+cache directory, for the stage commands that run without extract, and
+checks each cache as extract checks a precomputed source.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .categories import Category, EffectiveSubset
-from .embeddings import CACHE_SUFFIX, EmbeddingMatrix, read_cache
+from .embeddings import EmbeddingMatrix, cache_path, check_cache, read_cache, scan_cache
 from .fileio import read_framed, write_framed
 from .manifest import Manifest, SlideMeta
 
@@ -87,9 +88,9 @@ def mean_aggregate(emb: EmbeddingMatrix) -> np.ndarray:
 def aggregate_design(manifest: Manifest, embed: Callable[[SlideMeta], EmbeddingMatrix]) -> DesignMatrix:
     """One aggregated row per manifest slide, in manifest order.
 
-    `embed(meta)` supplies each slide's embedding matrix; it is called once
-    per slide, in manifest order, and the matrix is dropped once its row
-    is taken.
+    `embed(meta)` supplies each slide's embedding matrix, all at the
+    backend's d (both callers check it); it is called once per slide, in
+    manifest order, and the matrix is dropped once its row is taken.
     """
     rows = None
     labels = np.empty(len(manifest), dtype=np.uint8)
@@ -101,11 +102,6 @@ def aggregate_design(manifest: Manifest, embed: Callable[[SlideMeta], EmbeddingM
         vec = mean_aggregate(embed(meta))
         if rows is None:
             rows = np.empty((len(manifest), vec.shape[0]), dtype=np.float32)
-        elif vec.shape[0] != rows.shape[1]:
-            raise DesignError(
-                f"mixed embedding dimensions: slide {meta.file!r} has d={vec.shape[0]}, "
-                f"expected {rows.shape[1]}"
-            )
         rows[i] = vec
         labels[i] = meta.category.value
         subsets[i] = meta.effective.value
@@ -114,15 +110,22 @@ def aggregate_design(manifest: Manifest, embed: Callable[[SlideMeta], EmbeddingM
     return DesignMatrix(rows, labels, subsets, slide_ids)
 
 
-def build_design(manifest: Manifest, cache_dir: str | Path, backend_name: str) -> DesignMatrix:
-    """`aggregate_design` over `<cache_dir>/<backend_name>/<slide_id>.embc`."""
+def build_design(manifest: Manifest, cache_dir: str | Path, backend_name: str, dim: int) -> DesignMatrix:
+    """`aggregate_design` over `<cache_dir>/<backend_name>/<slide_id>.embc`;
+    each cache must hold its manifest row's slide id, label and subset at
+    the backend's `dim`."""
     directory = Path(cache_dir) / backend_name
-    missing = [m.file for m in manifest if not (directory / f"{m.file}{CACHE_SUFFIX}").exists()]
+    missing = scan_cache(directory, manifest).missing
     if missing:
         raise DesignError(
             f"missing embedding caches under {directory}: {', '.join(missing)}"
         )
-    return aggregate_design(manifest, lambda meta: read_cache(directory / f"{meta.file}{CACHE_SUFFIX}"))
+
+    def embed(meta: SlideMeta) -> EmbeddingMatrix:
+        path = cache_path(directory, meta.file)
+        return check_cache(read_cache(path), path, meta.file, meta.category, meta.effective, dim)
+
+    return aggregate_design(manifest, embed)
 
 
 def split_design(dm: DesignMatrix) -> tuple[DesignMatrix, DesignMatrix]:

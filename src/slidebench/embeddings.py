@@ -23,6 +23,7 @@ the cache directory and mean-aggregated into its design-matrix row.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import struct
@@ -110,11 +111,13 @@ def slide_rng(seed: int, slide_id: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF] + words))
 
 
+@functools.cache
 def class_directions(seed: int, dim: int) -> np.ndarray:
     """Three mutually orthogonal unit directions, dense across coordinates.
 
     Dense directions keep per-coordinate signal comparable to noise, so
     the class structure survives per-feature standardization downstream.
+    Computed once per (seed, dim); the shared array is read-only.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0xC1A55]))
     basis = rng.standard_normal((3, dim))
@@ -128,6 +131,7 @@ def class_directions(seed: int, dim: int) -> np.ndarray:
                 basis[i] -= (basis[i] @ basis[j]) * basis[j]
             norm = np.linalg.norm(basis[i])
         basis[i] /= norm
+    basis.flags.writeable = False
     return basis
 
 
@@ -159,6 +163,19 @@ def extract(
         emb = read_cache(path)
     except FileNotFoundError:
         raise CacheFormatError(f"missing embedding cache for slide {slide_id!r}: {path}") from None
+    return check_cache(emb, path, slide_id, label, subset, backend.dim)
+
+
+def check_cache(
+    emb: EmbeddingMatrix,
+    path: str | Path,
+    slide_id: str,
+    label: Category,
+    subset: EffectiveSubset,
+    dim: int,
+) -> EmbeddingMatrix:
+    """`emb`, read from `path`, if it holds the manifest row's slide id,
+    label and subset at the backend's `dim`; CacheFormatError otherwise."""
     if emb.slide_id != slide_id:
         raise CacheFormatError(
             f"cache {path} holds slide {emb.slide_id!r}, expected {slide_id!r}"
@@ -168,8 +185,8 @@ def extract(
             f"cache {path} label/subset ({emb.label.name}, {emb.subset.name}) "
             f"disagree with manifest ({label.name}, {subset.name})"
         )
-    if emb.d != backend.dim:
-        raise CacheFormatError(f"cache {path} has d={emb.d}, backend expects {backend.dim}")
+    if emb.d != dim:
+        raise CacheFormatError(f"cache {path} has d={emb.d}, backend expects {dim}")
     return emb
 
 

@@ -8,6 +8,7 @@ report rather than silently inflating small-class scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,31 +109,47 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int = N_
     return cm
 
 
+class _Sweep(NamedTuple):
+    """A descending sweep over the distinct score thresholds."""
+
+    thresholds: np.ndarray  # distinct scores, descending
+    tp: np.ndarray          # true positives at or above each threshold
+    predicted: np.ndarray   # scores at or above each threshold
+    n_pos: int
+    n_neg: int
+
+
+def _sweep(y_true: np.ndarray, scores: np.ndarray) -> _Sweep:
+    y_true = np.asarray(y_true).astype(bool)
+    scores = np.asarray(scores, dtype=np.float64)
+    if y_true.shape != scores.shape:
+        raise ValueError("labels and scores must align")
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    # The last index of each run of equal scores.
+    distinct = np.flatnonzero(np.r_[np.diff(s) != 0, s.size > 0])
+    tp = np.cumsum(y_true[order], dtype=np.int64)[distinct]
+    n_pos = int(y_true.sum())
+    return _Sweep(s[distinct], tp, distinct + 1, n_pos, y_true.size - n_pos)
+
+
 def roc_curve(y_true: np.ndarray, scores: np.ndarray) -> RocCurve:
     """ROC over descending distinct score thresholds.
 
     Ties are grouped per threshold, so the trapezoidal area equals the
     pairwise statistic P(s+ > s-) + 0.5 P(s+ = s-).
     """
-    y_true = np.asarray(y_true).astype(bool)
-    scores = np.asarray(scores, dtype=np.float64)
-    if y_true.shape != scores.shape:
-        raise ValueError("labels and scores must align")
-    n_pos = int(y_true.sum())
-    n_neg = y_true.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("undefined ROC: both classes must be present")
+    return _roc(_sweep(y_true, scores))
 
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    pos = y_true[order].astype(np.int64)
-    distinct = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
-    tp = np.cumsum(pos)[distinct]
-    fp = (distinct + 1) - tp
+
+def _roc(sw: _Sweep) -> RocCurve:
+    if sw.n_pos == 0 or sw.n_neg == 0:
+        raise ValueError("undefined ROC: both classes must be present")
+    fp = sw.predicted - sw.tp
     return RocCurve(
-        thresholds=np.r_[np.inf, s[distinct]],
-        fpr=np.r_[0.0, fp / n_neg],
-        tpr=np.r_[0.0, tp / n_pos],
+        thresholds=np.r_[np.inf, sw.thresholds],
+        fpr=np.r_[0.0, fp / sw.n_neg],
+        tpr=np.r_[0.0, sw.tp / sw.n_pos],
     )
 
 
@@ -149,26 +166,18 @@ def _area(curve: RocCurve) -> float:
 
 def pr_curve(y_true: np.ndarray, scores: np.ndarray) -> PrCurve:
     """Precision/recall at each distinct threshold, swept descending."""
-    y_true = np.asarray(y_true).astype(bool)
-    scores = np.asarray(scores, dtype=np.float64)
-    if y_true.shape != scores.shape:
-        raise ValueError("labels and scores must align")
-    n_pos = int(y_true.sum())
-    if n_pos == 0:
-        raise ValueError("undefined PR curve: no positive labels")
+    return _pr(_sweep(y_true, scores))
 
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    pos = y_true[order].astype(np.int64)
-    distinct = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
-    tp = np.cumsum(pos)[distinct]
-    predicted = distinct + 1
+
+def _pr(sw: _Sweep) -> PrCurve:
+    if sw.n_pos == 0:
+        raise ValueError("undefined PR curve: no positive labels")
     # Stop the sweep once every positive is recalled.
-    last = int(np.searchsorted(tp, n_pos)) + 1
+    last = int(np.searchsorted(sw.tp, sw.n_pos)) + 1
     return PrCurve(
-        thresholds=s[distinct][:last],
-        precision=(tp / predicted)[:last],
-        recall=(tp / n_pos)[:last],
+        thresholds=sw.thresholds[:last],
+        precision=(sw.tp / sw.predicted)[:last],
+        recall=(sw.tp / sw.n_pos)[:last],
     )
 
 
@@ -239,10 +248,11 @@ def classification_report(
 
         binary = y_true == c
         if binary.any() and not binary.all():
-            roc_curves[names[c]] = roc_curve(binary, proba[:, c])
+            sweep = _sweep(binary, proba[:, c])
+            roc_curves[names[c]] = _roc(sweep)
             cls_auroc = _area(roc_curves[names[c]])
             aurocs.append(cls_auroc)
-            pr_curves[names[c]] = pr_curve(binary, proba[:, c])
+            pr_curves[names[c]] = _pr(sweep)
         else:
             cls_auroc = None
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -168,7 +167,7 @@ def aggregate_stage(
     or, without them (stage commands run on their own), ones built from
     the caches in `cache_dir`."""
     if designs is None:
-        designs = {b.name: build_design(manifest, cfg.cache_dir, b.name) for b in cfg.backends}
+        designs = {b.name: build_design(manifest, cfg.cache_dir, b.name, b.dim) for b in cfg.backends}
     for backend in cfg.backends:
         save_design(designs[backend.name], Path(cfg.out_dir) / backend.name / "design.dmat")
     return designs
@@ -248,6 +247,9 @@ def train_evaluate_stage(
         # forked workers start inside the block with its still-empty cache.
         with shared_bins():
             if cfg.jobs > 1 and len(tasks) > 1:
+                # Imported here: serial runs never load the process pool.
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(
                     max_workers=cfg.jobs, initializer=_set_stage_data, initargs=(data,)
                 ) as pool:

@@ -1,10 +1,12 @@
 """Local experiment tracking: JSONL event log plus optional webhook sink.
 
-Events append to a local file (fatal on failure) and, when configured,
-POST to a webhook with retries; webhook failures only warn and never
-abort the run. Once one event has run out of attempts the webhook is
-disabled for the rest of the run, so a sink that never answers costs
-one event's retries, not every event's.
+Each event is one JSON line with the sorted keys `metric`, `phase`,
+`run_id`, `step`, `ts` and `value`; a metric's steps count from 0 per
+tracker. The line appends to a local file (fatal on failure) and, when
+configured, is POSTed to a webhook with retries; webhook failures only
+warn and never abort the run. Once one event has run out of attempts the
+webhook is disabled for the rest of the run, so a sink that never answers
+costs one event's retries, not every event's.
 """
 
 from __future__ import annotations
@@ -12,58 +14,9 @@ from __future__ import annotations
 import json
 import logging
 import time
-import urllib.error
-import urllib.request
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RunEvent:
-    run_id: str
-    ts: float
-    phase: str
-    metric: str
-    value: float
-    step: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, line: str) -> "RunEvent":
-        raw = json.loads(line)
-        return cls(
-            run_id=raw["run_id"],
-            ts=raw["ts"],
-            phase=raw["phase"],
-            metric=raw["metric"],
-            value=raw["value"],
-            step=raw["step"],
-        )
-
-
-class JsonlSink:
-    """Append-only local event log, one JSON object per line."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-
-    def emit(self, event: RunEvent) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(event.to_json() + "\n")
-
-    def read_events(self) -> list[RunEvent]:
-        if not self.path.exists():
-            return []
-        out = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                out.append(RunEvent.from_json(line))
-        return out
 
 
 class WebhookSink:
@@ -84,10 +37,14 @@ class WebhookSink:
     def disabled(self) -> bool:
         return self.failures > 0
 
-    def emit(self, event: RunEvent) -> None:
+    def emit(self, line: str) -> None:
         if self.disabled:
             return
-        body = event.to_json().encode("utf-8")
+        # Only a configured webhook needs the HTTP client.
+        import urllib.error
+        import urllib.request
+
+        body = line.encode("utf-8")
         for attempt in range(self.attempts):
             req = urllib.request.Request(
                 self.url, data=body, headers={"Content-Type": "application/json"}, method="POST"
@@ -108,30 +65,22 @@ class WebhookSink:
 
 
 class Tracker:
-    """Serializes run events to the configured sinks with monotone steps."""
+    """Appends run events to `jsonl_path` and mirrors them to an optional webhook."""
 
     def __init__(self, run_id: str, jsonl_path: str | Path, webhook: WebhookSink | None = None):
         self.run_id = run_id
-        self.local = JsonlSink(jsonl_path)
+        self.path = Path(jsonl_path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self.webhook = webhook
         self._steps: dict[str, int] = {}
 
-    def track(self, phase: str, metric: str, value: float, step: int | None = None) -> RunEvent:
-        last = self._steps.get(metric, -1)
-        if step is None:
-            step = last + 1
-        elif step <= last:
-            raise ValueError(f"step {step} not monotone for metric {metric!r} (last {last})")
+    def track(self, phase: str, metric: str, value: float) -> None:
+        step = self._steps.get(metric, -1) + 1
         self._steps[metric] = step
-        event = RunEvent(
-            run_id=self.run_id,
-            ts=time.time(),
-            phase=phase,
-            metric=metric,
-            value=float(value),
-            step=step,
-        )
-        self.local.emit(event)
+        event = {"run_id": self.run_id, "ts": time.time(), "phase": phase,
+                 "metric": metric, "value": float(value), "step": step}
+        line = json.dumps(event, sort_keys=True)
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
         if self.webhook is not None:
-            self.webhook.emit(event)
-        return event
+            self.webhook.emit(line)

@@ -13,7 +13,7 @@ from slidebench.design import (
     save_design,
     split_design,
 )
-from slidebench.embeddings import BackendSpec, EmbeddingMatrix, extract, write_cache
+from slidebench.embeddings import BackendSpec, CacheFormatError, EmbeddingMatrix, extract, write_cache
 from slidebench.manifest import SlideMeta
 
 
@@ -98,14 +98,14 @@ class TestBuildDesign:
     def test_rows_in_manifest_order(self, tmp_path):
         manifest = [meta(f"s{i}") for i in range(6)]
         self._populate(tmp_path, manifest)
-        dm = build_design(manifest, tmp_path, "bk")
+        dm = build_design(manifest, tmp_path, "bk", 16)
         assert dm.slide_ids == [m.file for m in manifest]
         assert dm.n == 6 and dm.d == 16
 
     def test_rows_equal_mean_aggregate(self, tmp_path):
         manifest = [meta(f"s{i}") for i in range(4)]
         self._populate(tmp_path, manifest)
-        dm = build_design(manifest, tmp_path, "bk")
+        dm = build_design(manifest, tmp_path, "bk", 16)
         spec = BackendSpec(kind="synthetic", dim=16, seed=3, class_separation=1.0)
         for i, m in enumerate(manifest):
             e = extract(spec, m.file, m.category, m.effective, patch_count=5)
@@ -116,7 +116,7 @@ class TestBuildDesign:
         self._populate(tmp_path, manifest)
         (tmp_path / "bk" / "s1.embc").unlink()
         with pytest.raises(DesignError, match="s1"):
-            build_design(manifest, tmp_path, "bk")
+            build_design(manifest, tmp_path, "bk", 16)
 
     def test_mixed_dimensions_rejected(self, tmp_path):
         manifest = [meta("s0"), meta("s1")]
@@ -124,8 +124,9 @@ class TestBuildDesign:
         spec = BackendSpec(kind="synthetic", dim=8, seed=3, class_separation=1.0)
         e = extract(spec, "s1", manifest[1].category, manifest[1].effective, patch_count=5)
         write_cache(e, tmp_path / "bk")
-        with pytest.raises(DesignError, match="mixed embedding dimensions"):
-            build_design(manifest, tmp_path, "bk")
+        # Each cache is checked against the backend's d before it is aggregated.
+        with pytest.raises(CacheFormatError, match=r"s1\.embc has d=8, backend expects 16"):
+            build_design(manifest, tmp_path, "bk", 16)
 
     def test_other_labels_rejected(self):
         with pytest.raises(DesignError, match="other"):

@@ -69,6 +69,9 @@ class TestSyntheticBackend:
         dirs = class_directions(3, 64)
         gram = dirs @ dirs.T
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
+        # One array per (seed, dim), shared by every slide: read-only.
+        assert class_directions(3, 64) is dirs
+        assert not dirs.flags.writeable
 
     def test_coordinate_means_match_configured(self):
         # Empirical coordinate means approach the configured class mean.

@@ -22,7 +22,7 @@ from slidebench.design import load_design
 from slidebench.embeddings import BackendSpec, cache_path, extract, write_cache
 from slidebench.fixture import paper_manifest
 from slidebench.learners import BaseClassifier, ClassifierSpec
-from slidebench.manifest import write_manifest
+from slidebench.manifest import parse_manifest, write_manifest
 from slidebench.runner import (
     StageError,
     compare_models,
@@ -218,6 +218,16 @@ def precomputed_config(tmp_path: Path, names=("pre",)) -> tuple[RunConfig, list[
     return dataclasses.replace(cfg, backends=backends), files
 
 
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the same slidebench as this one,
+    also when only pytest's own `pythonpath` setting put it on sys.path."""
+    src = str(Path(slidebench.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
+    )
+
+
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -363,6 +373,41 @@ class TestStageCommands:
             "failed", "aggregate", "DesignError", ["ingest", "aggregate", "train"]
         )
 
+    def _extracted(self, tmp_path):
+        cfg = small_config(tmp_path, seps=(1.2,), dims=(16,), classifiers=["knn", "naive_bayes"],
+                           selected_classifier="knn")
+        run_pipeline(cfg, ("ingest", "extract"))
+        return cfg, [meta.file for meta in ingest_stage(cfg)]
+
+    def _assert_aggregate_fails(self, cfg, match):
+        with pytest.raises(StageError, match=match):
+            run_pipeline(cfg, ("ingest", "aggregate", "train"))
+        meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
+        assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "aggregate", "CacheFormatError")
+
+    def test_swapped_cache_fails_aggregate(self, tmp_path):
+        # The stage commands check each cache against its manifest row, as
+        # extract checks a precomputed source.
+        cfg, ids = self._extracted(tmp_path)
+        a, b = (cache_path(Path(cfg.cache_dir) / "bk0", sid) for sid in (ids[1], ids[3]))
+        blob_a = a.read_bytes()
+        a.write_bytes(b.read_bytes())
+        b.write_bytes(blob_a)
+        self._assert_aggregate_fails(
+            cfg, rf"\[aggregate\] cache .*{a.name} holds slide '{ids[3]}', expected '{ids[1]}'"
+        )
+
+    def test_category_edited_after_extract_fails_aggregate(self, tmp_path):
+        cfg, ids = self._extracted(tmp_path)
+        rows = parse_manifest(cfg.manifest)
+        i = next(i for i, m in enumerate(rows) if m.file == ids[2])
+        other = next(c for c in (Category.BASALOID, Category.SQUAMOUS) if c is not rows[i].category)
+        rows[i] = dataclasses.replace(rows[i], category=other)
+        write_manifest(rows, cfg.manifest)
+        self._assert_aggregate_fails(
+            cfg, rf"\[aggregate\] cache .*{ids[2]}\.embc label/subset .* disagree with manifest"
+        )
+
     def test_any_stage_error_exits_two(self, tmp_path, capsys):
         cfg = small_config(tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn")
         run_pipeline(cfg)
@@ -483,6 +528,15 @@ class TestLearningCurve:
 
 
 class TestParallelPath:
+    def test_runner_import_loads_no_pool_or_http_client(self):
+        # Only a `jobs > 1` train stage starts the pool, and only a
+        # configured webhook sends HTTP.
+        code = ("import sys, slidebench.runner; "
+                "print([m for m in ('urllib.request', 'concurrent.futures.process') if m in sys.modules])")
+        res = run_python("-c", code)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
     def test_jobs_two_matches_serial(self, tmp_path):
         cfg_serial = small_config(tmp_path / "s", seed=23)
         cfg_par = small_config(tmp_path / "p", seed=23, jobs=2)
@@ -721,14 +775,7 @@ class TestTrainStageTasks:
 
 class TestCli:
     def run_cli(self, *args):
-        # The CLI process imports the same slidebench as this one, also
-        # when only pytest's own `pythonpath` setting put it on sys.path.
-        src = str(Path(slidebench.__file__).resolve().parent.parent)
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        return subprocess.run(
-            [sys.executable, "-m", "slidebench.cli", *args],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-        )
+        return run_python("-m", "slidebench.cli", *args)
 
     def test_fixture_and_ingest(self, tmp_path):
         manifest = tmp_path / "m.csv"

@@ -6,17 +6,40 @@ import threading
 
 import pytest
 
-from slidebench.tracker import JsonlSink, RunEvent, Tracker, WebhookSink
+from slidebench.tracker import Tracker, WebhookSink
 
 from conftest import pending_connections
+
+
+def read_log(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         tracker = Tracker("run1", tmp_path / "events.jsonl")
-        event = tracker.track("train", "accuracy", 0.91)
-        back = tracker.local.read_events()
-        assert back == [event]
+        tracker.track("train", "accuracy", 0.91)
+        [event] = read_log(tmp_path / "events.jsonl")
+        assert (event["run_id"], event["phase"], event["metric"], event["value"], event["step"]) == (
+            "run1", "train", "accuracy", 0.91, 0
+        )
+
+    def test_exact_lines(self, tmp_path, monkeypatch):
+        # Keys sorted, values as floats, steps counted per metric: the lines
+        # a log reader or webhook receiver has always been given.
+        monkeypatch.setattr("slidebench.tracker.time.time", lambda: 1760000000.125)
+        tracker = Tracker("run-7", tmp_path / "events.jsonl")
+        tracker.track("train", "bk0/knn/cv_accuracy", 0.875)
+        tracker.track("evaluate", "bk0/knn/cv_accuracy", 1)
+        tracker.track("ingest", "slides_total", 90)
+        assert (tmp_path / "events.jsonl").read_text(encoding="utf-8") == (
+            '{"metric": "bk0/knn/cv_accuracy", "phase": "train", "run_id": "run-7", '
+            '"step": 0, "ts": 1760000000.125, "value": 0.875}\n'
+            '{"metric": "bk0/knn/cv_accuracy", "phase": "evaluate", "run_id": "run-7", '
+            '"step": 1, "ts": 1760000000.125, "value": 1.0}\n'
+            '{"metric": "slides_total", "phase": "ingest", "run_id": "run-7", '
+            '"step": 0, "ts": 1760000000.125, "value": 90.0}\n'
+        )
 
     def test_thousand_events_monotone_steps(self, tmp_path):
         tracker = Tracker("run1", tmp_path / "events.jsonl")
@@ -32,12 +55,6 @@ class TestJsonl:
             if metric in last_step:
                 assert event["step"] > last_step[metric]
             last_step[metric] = event["step"]
-
-    def test_explicit_step_must_increase(self, tmp_path):
-        tracker = Tracker("run1", tmp_path / "e.jsonl")
-        tracker.track("train", "loss", 1.0, step=5)
-        with pytest.raises(ValueError, match="monotone"):
-            tracker.track("train", "loss", 0.9, step=5)
 
     def test_event_schema(self, tmp_path):
         tracker = Tracker("runX", tmp_path / "e.jsonl")
@@ -80,7 +97,8 @@ class TestWebhook:
         url = f"http://127.0.0.1:{server.server_address[1]}/hook"
         tracker = Tracker("r", tmp_path / "e.jsonl", webhook=WebhookSink(url, backoff=0.01))
         tracker.track("train", "m", 1.5)
-        assert len(handler.received) == 1
+        # The webhook receives the logged line as its body.
+        assert handler.received == read_log(tmp_path / "e.jsonl")
         assert handler.received[0]["metric"] == "m"
 
     def test_server_error_never_fails_run(self, tmp_path, http_server, caplog):
@@ -90,13 +108,12 @@ class TestWebhook:
         sink = WebhookSink(url, attempts=3, backoff=0.01)
         tracker = Tracker("r", tmp_path / "e.jsonl", webhook=sink)
         with caplog.at_level("WARNING"):
-            event = tracker.track("train", "m", 2.0)
-        assert event.value == 2.0
+            tracker.track("train", "m", 2.0)
         assert len(handler.received) == 3  # three attempts
         assert sink.failures == 1
         assert "unreachable" in caplog.text
         # The local log still has the event.
-        assert len(tracker.local.read_events()) == 1
+        assert [e["value"] for e in read_log(tmp_path / "e.jsonl")] == [2.0]
 
     def test_unreachable_host_warns_only(self, tmp_path, caplog):
         sink = WebhookSink("http://127.0.0.1:9/nothing", attempts=2, backoff=0.01, timeout=0.2)
@@ -117,11 +134,11 @@ class TestWebhook:
         assert pending_connections(silent_server) == 0  # no connection attempt
         assert sink.failures == 1
         assert caplog.text.count("unreachable") == 1
-        assert [e.metric for e in tracker.local.read_events()] == ["a", "b"]
+        assert [e["metric"] for e in read_log(tmp_path / "e.jsonl")] == ["a", "b"]
 
     def test_local_log_failure_is_fatal(self, tmp_path):
-        sink = JsonlSink(tmp_path / "dir-blocked" / "e.jsonl")
-        sink.path.parent.rmdir()
-        sink.path.parent.write_text("now a file")  # block directory creation
+        tracker = Tracker("r", tmp_path / "dir-blocked" / "e.jsonl")
+        tracker.path.parent.rmdir()
+        tracker.path.parent.write_text("now a file")  # block the log's directory
         with pytest.raises(OSError):
-            sink.emit(RunEvent("r", 0.0, "p", "m", 1.0, 0))
+            tracker.track("p", "m", 1.0)
