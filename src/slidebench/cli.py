@@ -19,7 +19,8 @@ from .config import ConfigError, RunConfig, derive_seed, load_config
 from .fixture import paper_manifest
 from .learners import ClassifierSpec, KINDS
 from .manifest import category_counts, effective_split, filter_categories, parse_manifest, write_manifest
-from .runner import STAGES, StageError, emit_curve_plot, learning_curve, run_pipeline, _write_json
+from .fileio import write_json
+from .runner import STAGES, StageError, emit_curve_plot, learning_curve, run_pipeline
 
 # Subcommand -> (help, the stages of `run_pipeline` it runs). `train` and
 # `evaluate` are one pass: models are fit, saved and scored on the test split.
@@ -125,7 +126,7 @@ def _cmd_learning_curve(args: argparse.Namespace) -> None:
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
     curve = learning_curve(cfg, backend, spec, sizes=sizes, repeats=args.repeats)
     out_dir = Path(cfg.out_dir) / backend / "curves"
-    _write_json(out_dir / f"{args.classifier}.json", curve.to_dict())
+    write_json(out_dir / f"{args.classifier}.json", curve)
     emit_curve_plot(curve, out_dir, args.classifier)
     for size, acc in zip(curve.sizes, curve.test_accuracy):
         print(f"size {size}: test accuracy {acc:.3f}")

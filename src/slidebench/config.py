@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import zlib
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
 from .embeddings import BackendSpec
+from .fileio import jsonable
 from .learners import KINDS, ClassifierSpec, default_grid
 from .learners.base import _is_int
 from .manifest import is_path_component
@@ -161,22 +162,11 @@ class RunConfig:
     def to_dict(self) -> dict:
         """Every field, nested configs as dicts and tuples as lists: the
         JSON that `config_from_dict` reads back to an equal config."""
-        return _plain(self)
+        return jsonable(self)
 
     def run_id(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
         return f"{zlib.crc32(blob):08x}{len(blob):04x}"
-
-
-def _plain(value):
-    """`value` with dataclasses and mappings made dicts and tuples lists."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, Mapping):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
 
 
 def config_from_dict(raw: dict) -> RunConfig:

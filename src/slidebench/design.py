@@ -175,5 +175,5 @@ def _parse_design(take) -> tuple:
     slide_ids = []
     for _ in range(n):
         (ln,) = struct.unpack("<H", take(2, "slide id length"))
-        slide_ids.append(take(ln, "slide id").decode("utf-8"))
+        slide_ids.append(str(take(ln, "slide id"), "utf-8"))
     return rows, labels, subsets, slide_ids

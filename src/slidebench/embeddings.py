@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 import struct
 import zlib
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .categories import Category, EffectiveSubset
-from .fileio import write_atomic
+from .fileio import ByteReader, write_atomic
 from .manifest import Manifest
 
 MAGIC = b"EMBC"
@@ -95,6 +96,8 @@ class BackendSpec:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("backend dim must be >= 1")
+        if not math.isfinite(self.class_separation):
+            raise ValueError(f"class_separation must be finite, got {self.class_separation!r}")
         if self.kind == "synthetic":
             if self.class_separation < 0:
                 raise ValueError("class_separation must be >= 0")
@@ -219,50 +222,24 @@ def write_cache(emb: EmbeddingMatrix, directory: str | Path) -> Path:
     return write_atomic(cache_path(directory, emb.slide_id), (header, payload, crc))
 
 
-# Header fields after the slide id: label code, subset code, m, d.
-_FIELDS = struct.Struct("<BBII")
-
-
-def _truncated(path: str | Path, what: str) -> CacheFormatError:
-    return CacheFormatError(f"{path}: truncated {what}")
-
-
 def read_cache(path: str | Path) -> EmbeddingMatrix:
     """Read one `.embc` file, verifying structure and payload CRC."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    size = len(blob)
-    if size < 4:
-        raise _truncated(path, "magic")
-    if blob[:4] != MAGIC:
+        reader = ByteReader(fh.read(), path, CacheFormatError)
+    if reader.take(4, "magic") != MAGIC:
         raise CacheFormatError(f"{path}: bad magic")
-    if size < 8:
-        raise _truncated(path, "version")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    (version,) = struct.unpack("<I", reader.take(4, "version"))
     if version != VERSION:
         raise CacheFormatError(f"{path}: unsupported version {version}")
-    if size < 10:
-        raise _truncated(path, "slide id length")
-    (sid_len,) = struct.unpack_from("<H", blob, 8)
-    off = 10 + sid_len
-    if size < off:
-        raise _truncated(path, "slide id")
-    slide_id = blob[10:off].decode("utf-8")
-    if size < off + 2:
-        raise _truncated(path, "label/subset")
-    if size < off + _FIELDS.size:
-        raise _truncated(path, "shape")
-    label_code, subset_code, m, d = _FIELDS.unpack_from(blob, off)
-    off += _FIELDS.size
+    (sid_len,) = struct.unpack("<H", reader.take(2, "slide id length"))
+    slide_id = str(reader.take(sid_len, "slide id"), "utf-8")
+    label_code, subset_code = reader.take(2, "label/subset")
+    m, d = struct.unpack("<II", reader.take(8, "shape"))
     if m < 1 or d < 1:
         raise CacheFormatError(f"{path}: invalid shape ({m}, {d})")
-    end = off + m * d * 4
-    if end > size - 4:
-        raise _truncated(path, "payload")
-    if end + 4 != size:
-        raise CacheFormatError(f"{path}: {size - end - 4} trailing bytes")
-    payload = memoryview(blob)[off:end]
-    (crc_stored,) = struct.unpack_from("<I", blob, end)
+    payload = reader.take(m * d * 4, "payload")
+    (crc_stored,) = struct.unpack("<I", reader.take(4, "checksum"))
+    reader.finish()
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise CacheFormatError(f"{path}: payload checksum mismatch")
     data = np.frombuffer(payload, dtype="<f4").reshape(m, d)

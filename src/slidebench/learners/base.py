@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -28,9 +29,10 @@ def _count(default: int | None, low: int, high: int | None = None, none_ok: bool
 
 
 def _real(default: float, low: float, strict: bool = False) -> Param:
-    """A number > low where `strict`, else >= low."""
-    check = lambda v: (_is_int(v) or isinstance(v, (float, np.floating))) and (v > low if strict else v >= low)
-    return Param(default, check, f"{'>' if strict else '>='} {low}")
+    """A finite number > low where `strict`, else >= low."""
+    finite = lambda v: _is_int(v) or isinstance(v, (float, np.floating)) and math.isfinite(v)
+    check = lambda v: finite(v) and (v > low if strict else v >= low)
+    return Param(default, check, f"{'>' if strict else '>='} {low} and finite")
 
 
 _N_ESTIMATORS = _count(100, 1)

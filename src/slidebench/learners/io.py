@@ -68,16 +68,16 @@ def save_model(model: BaseClassifier, path: str | Path) -> Path:
 def load_model(path: str | Path) -> BaseClassifier:
     def parse(take) -> tuple[str, dict, dict[str, np.ndarray]]:
         (kind_len,) = struct.unpack("<H", take(2, "kind length"))
-        kind = take(kind_len, "kind").decode("utf-8")
+        kind = str(take(kind_len, "kind"), "utf-8")
         (meta_len,) = struct.unpack("<I", take(4, "meta length"))
-        meta = json.loads(take(meta_len, "meta").decode("utf-8"))
+        meta = json.loads(str(take(meta_len, "meta"), "utf-8"))
         if not isinstance(meta, dict) or meta.get("kind") != kind:
             raise ModelFormatError(f"{path}: kind mismatch between header and meta")
         (n_arrays,) = struct.unpack("<I", take(4, "array count"))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(n_arrays):
             (name_len,) = struct.unpack("<H", take(2, "array name length"))
-            name = take(name_len, "array name").decode("utf-8")
+            name = str(take(name_len, "array name"), "utf-8")
             code, ndim = struct.unpack("<BB", take(2, "array header"))
             if code not in _DTYPES:
                 raise ModelFormatError(f"{path}: unknown dtype code {code}")

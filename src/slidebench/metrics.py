@@ -44,59 +44,18 @@ class ClassMetrics:
 
 @dataclass
 class EvaluationReport:
+    """One classifier's evaluation; its fields are the report document's keys."""
+
     accuracy: float
-    confusion: np.ndarray                     # (K, K) rows true, cols predicted
+    confusion_matrix: np.ndarray              # (K, K) rows true, cols predicted
     per_class: dict[str, ClassMetrics]
     macro_auroc: float | None
     micro_auroc: float | None
     roc_curves: dict[str, RocCurve]
     pr_curves: dict[str, PrCurve]
     zero_denominator: bool = False
-    classifier_id: str = ""
+    classifier: str = ""
     backend: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "classifier": self.classifier_id,
-            "backend": self.backend,
-            "accuracy": self.accuracy,
-            "macro_auroc": self.macro_auroc,
-            "micro_auroc": self.micro_auroc,
-            "zero_denominator": self.zero_denominator,
-            "confusion_matrix": self.confusion.tolist(),
-            "per_class": {
-                name: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "tpr": m.tpr,
-                    "fpr": m.fpr,
-                    "auroc": m.auroc,
-                    "support": m.support,
-                }
-                for name, m in self.per_class.items()
-            },
-            "roc_curves": {
-                name: {
-                    "thresholds": _jsonable(c.thresholds),
-                    "fpr": c.fpr.tolist(),
-                    "tpr": c.tpr.tolist(),
-                }
-                for name, c in self.roc_curves.items()
-            },
-            "pr_curves": {
-                name: {
-                    "thresholds": _jsonable(c.thresholds),
-                    "precision": c.precision.tolist(),
-                    "recall": c.recall.tolist(),
-                }
-                for name, c in self.pr_curves.items()
-            },
-        }
-
-
-def _jsonable(arr: np.ndarray) -> list:
-    return [None if np.isinf(v) else float(v) for v in arr]
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
@@ -205,10 +164,11 @@ def micro_auroc(y_true: np.ndarray, proba: np.ndarray) -> float:
 def classification_report(
     y_true: np.ndarray,
     proba: np.ndarray,
-    classifier_id: str = "",
+    classifier: str = "",
     backend: str = "",
 ) -> EvaluationReport:
-    """Full per-class and overall evaluation from probability predictions."""
+    """Full per-class and overall evaluation from probability predictions,
+    which must be finite."""
     y_true = np.asarray(y_true, dtype=np.int64)
     proba = np.asarray(proba, dtype=np.float64)
     if proba.ndim != 2 or proba.shape[0] != y_true.shape[0]:
@@ -218,6 +178,9 @@ def classification_report(
     k = proba.shape[1]
     if y_true.min() < 0 or y_true.max() >= k:
         raise ValueError("labels outside the class set")
+    bad_rows = int(np.count_nonzero(~np.isfinite(proba).all(axis=1)))
+    if bad_rows:
+        raise ValueError(f"{bad_rows} of {y_true.size} probability rows are not finite")
 
     y_pred = np.argmax(proba, axis=1)
     cm = confusion_matrix(y_true, y_pred, n_classes=k)
@@ -270,13 +233,13 @@ def classification_report(
     micro = micro_auroc(y_true, proba) if len(aurocs) == k else None
     return EvaluationReport(
         accuracy=accuracy,
-        confusion=cm,
+        confusion_matrix=cm,
         per_class=per_class,
         macro_auroc=macro,
         micro_auroc=micro,
         roc_curves=roc_curves,
         pr_curves=pr_curves,
         zero_denominator=zero_denominator,
-        classifier_id=classifier_id,
+        classifier=classifier,
         backend=backend,
     )

@@ -109,6 +109,8 @@ class PairedScores:
             raise ValueError("paired scores must be aligned 1-D arrays")
         if y.all() or not y.any():
             raise ValueError("both classes must be present")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("paired scores must be finite")
         object.__setattr__(self, "y_true", y)
         object.__setattr__(self, "scores_a", a)
         object.__setattr__(self, "scores_b", b)
@@ -117,19 +119,15 @@ class PairedScores:
 # -- DeLong ------------------------------------------------------------------
 
 def _midrank(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of `x`, each run of equal values sharing its mean rank."""
     order = np.argsort(x, kind="stable")
     z = x[order]
     n = x.shape[0]
-    ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and z[j] == z[i]:
-            j += 1
-        ranks[i:j] = 0.5 * (i + j - 1) + 1.0
-        i = j
+    # Sorted positions [start, end) of each run of equal values.
+    start = np.flatnonzero(np.r_[True, z[1:] != z[:-1]])
+    end = np.r_[start[1:], n]
     out = np.empty(n)
-    out[order] = ranks
+    out[order] = np.repeat(0.5 * (start + end - 1) + 1.0, end - start)
     return out
 
 

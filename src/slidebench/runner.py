@@ -20,7 +20,7 @@ from .categories import CLASSIFIED_CATEGORIES
 from .config import BackendConfig, RunConfig, derive_seed
 from .design import DesignMatrix, aggregate_design, build_design, load_design, save_design, split_design
 from .embeddings import CACHE_SUFFIX, extract, scan_cache, slide_rng, write_cache
-from .fileio import TEMP_SUFFIX, write_atomic
+from .fileio import TEMP_SUFFIX, jsonable, write_json
 from .fixture import largest_remainder
 from .learners import (
     KIND_LABELS,
@@ -48,18 +48,6 @@ class StageError(RuntimeError):
 
     def __str__(self) -> str:
         return f"[{self.stage}] {super().__str__()}"
-
-
-def _write_json(path: str | Path, obj) -> Path:
-    def convert(o):
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-    text = json.dumps(obj, sort_keys=True, indent=2, default=convert) + "\n"
-    return write_atomic(path, (text.encode("utf-8"),))
 
 
 # -- stages -------------------------------------------------------------------
@@ -212,15 +200,14 @@ def _fit_one(args: tuple) -> FitResult:
     best_cv_accuracy = float(cv.mean_accuracy[cv.best_index])
     model = build_classifier(cv.best_spec).fit(rows_tr, y_tr)
     proba = model.predict_proba(rows_te)
-    report = classification_report(y_te, proba, classifier_id=cv.best_spec.spec_id(), backend=backend_name)
+    report = classification_report(y_te, proba, classifier=cv.best_spec.spec_id(), backend=backend_name)
     base = Path(backend_dir)
-    best = {"params": dict(cv.best_spec.params), "seed": cv.best_spec.seed, "mean_accuracy": best_cv_accuracy}
-    _write_json(base / "cv" / f"{kind}.json", {"kind": kind, "grid": cv.summary(), "best": best})
+    best = {"params": cv.best_spec.params, "seed": cv.best_spec.seed, "mean_accuracy": best_cv_accuracy}
+    write_json(base / "cv" / f"{kind}.json", {"kind": kind, "grid": cv.summary(), "best": best})
     save_model(model, base / "models" / f"{kind}.modl")
-    _write_json(base / "reports" / f"{kind}.json", report.to_dict())
-    _write_json(base / "predictions" / f"{kind}.json", {
-        "backend": backend_name, "kind": kind, "slide_ids": ids_te,
-        "y_true": y_te.tolist(), "proba": proba.tolist(),
+    write_json(base / "reports" / f"{kind}.json", report)
+    write_json(base / "predictions" / f"{kind}.json", {
+        "backend": backend_name, "kind": kind, "slide_ids": ids_te, "y_true": y_te, "proba": proba,
     })
     return FitResult(backend=backend_name, kind=kind, best_cv_accuracy=best_cv_accuracy, report=report)
 
@@ -264,8 +251,8 @@ def train_evaluate_stage(
         for res in fitted:
             tracker.track("train", f"{res.backend}/{res.kind}/cv_accuracy", res.best_cv_accuracy)
             tracker.track("evaluate", f"{res.backend}/{res.kind}/test_accuracy", res.report.accuracy)
-    _write_json(Path(cfg.out_dir) / "accuracy_table.json", accuracy_table(cfg, results))
-    _write_json(Path(cfg.out_dir) / "f1_table.json", f1_table(cfg, results))
+    write_json(Path(cfg.out_dir) / "accuracy_table.json", accuracy_table(cfg, results))
+    write_json(Path(cfg.out_dir) / "f1_table.json", f1_table(cfg, results))
     return results
 
 
@@ -346,17 +333,7 @@ def compare_models(
         ps = PairedScores(y == cat.value, proba_a[:, cat.value], proba_b[:, cat.value])
         dl = delong_test(ps)
         vk = venkatraman_test(ps, permutations=permutations, seed=derive_seed(seed, f"venkatraman:{cat.value}"))
-        categories.append(
-            {
-                "category": cat.to_text(),
-                "delong": {"auc_a": dl.auc_a, "auc_b": dl.auc_b, "z": dl.z, "p": dl.p},
-                "venkatraman": {
-                    "roc_difference": vk.roc_difference,
-                    "p": vk.p,
-                    "permutations": vk.permutations,
-                },
-            }
-        )
+        categories.append({"category": cat.to_text(), "delong": jsonable(dl), "venkatraman": jsonable(vk)})
 
     acc_a, acc_b = [], []
     for kind in TABLE_ORDER:
@@ -374,9 +351,7 @@ def compare_models(
         "selected_classifier": selected_classifier,
         "categories": categories,
         "paired_ttest": None if tt is None else {
-            "t": tt.t,
-            "df": tt.df,
-            "p": tt.p,
+            **jsonable(tt),
             "n_pairs": len(acc_a),
             "accuracy_a": acc_a,
             "accuracy_b": acc_b,
@@ -396,7 +371,7 @@ def compare_stage(cfg: RunConfig) -> dict | None:
         permutations=cfg.venkatraman_permutations,
         seed=cfg.seed,
     )
-    _write_json(out / "comparison.json", doc)
+    write_json(out / "comparison.json", doc)
     return doc
 
 
@@ -404,20 +379,13 @@ def compare_stage(cfg: RunConfig) -> dict | None:
 
 @dataclass
 class LearningCurve:
-    classifier_id: str
+    """Its fields are the curve document's keys."""
+
+    classifier: str
     sizes: list[int]
     train_accuracy: list[float]
     test_accuracy: list[float]
     repeats: int
-
-    def to_dict(self) -> dict:
-        return {
-            "classifier": self.classifier_id,
-            "sizes": self.sizes,
-            "train_accuracy": self.train_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "repeats": self.repeats,
-        }
 
 
 def stratified_subsample(labels: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -494,7 +462,7 @@ def learning_curve(
         train_means.append(float(np.mean(tr_runs)))
         test_means.append(float(np.mean(te_runs)))
     return LearningCurve(
-        classifier_id=spec.spec_id(),
+        classifier=spec.spec_id(),
         sizes=list(sizes),
         train_accuracy=train_means,
         test_accuracy=test_means,
@@ -580,14 +548,14 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     webhook = WebhookSink(cfg.webhook_url) if cfg.webhook_url else None
 
     def meta(status: str, **fields) -> dict:
-        doc = {"run_id": run_id, "status": status, **fields, "config": cfg.to_dict()}
+        doc = {"run_id": run_id, "status": status, **fields, "config": cfg}
         if selected != list(STAGES):
             doc["stages"] = selected
         if webhook is not None and webhook.disabled:
             doc["webhook_disabled"] = True
         return doc
 
-    _write_json(meta_path, meta("running"))
+    write_json(meta_path, meta("running"))
     tracker = Tracker(run_id, out / cfg.tracker_jsonl, webhook=webhook)
     stage = "ingest"
 
@@ -634,8 +602,8 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
         error = exc
         if isinstance(exc, StageError):
             stage, error = exc.stage, exc.__cause__ or exc
-        _write_json(meta_path, meta("failed", stage=stage, error=type(error).__name__))
+        write_json(meta_path, meta("failed", stage=stage, error=type(error).__name__))
         raise
 
-    _write_json(meta_path, meta("complete"))
+    write_json(meta_path, meta("complete"))
     return out

@@ -2,14 +2,30 @@
 
 from __future__ import annotations
 
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slidebench
 from slidebench.categories import Category, EffectiveSubset, Subset
 from slidebench.fixture import paper_manifest
 from slidebench.manifest import serialize_manifest, write_manifest
+
+
+def run_python(*args, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the same slidebench as this one,
+    also when only pytest's own `pythonpath` setting put it on sys.path."""
+    src = str(Path(slidebench.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 CSV_HEADER = "fullpath,file,case_id,sub_block,block,DIAG_SCORE,DIAG_TYPE,category,subset,Staining"

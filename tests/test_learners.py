@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import struct
 
@@ -146,6 +147,20 @@ class TestSpecValidation:
     def test_invalid_params(self, kind, params):
         with pytest.raises(ValueError):
             ClassifierSpec(kind, params=params)
+
+    @pytest.mark.parametrize(
+        "kind,name",
+        [
+            ("logistic_regression", "l2"),
+            ("logistic_regression", "tol"),
+            ("gradient_boosting", "learning_rate"),
+            ("naive_bayes", "var_floor_ratio"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.inf, np.float64(math.inf), math.nan], ids=["inf", "np_inf", "nan"])
+    def test_non_finite_real_params_rejected(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >=? 0 and finite, got "):
+            ClassifierSpec(kind, params={name: value})
 
     @pytest.mark.parametrize(
         "kind,name",

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from slidebench.fileio import jsonable
 from slidebench.metrics import (
     auroc,
     classification_report,
@@ -183,9 +184,9 @@ class TestClassificationReport:
         proba /= proba.sum(axis=1, keepdims=True)
         report = classification_report(y, proba)
         np.testing.assert_array_equal(
-            report.confusion.sum(axis=1), np.bincount(y, minlength=3)
+            report.confusion_matrix.sum(axis=1), np.bincount(y, minlength=3)
         )
-        assert report.accuracy == pytest.approx(np.trace(report.confusion) / 60)
+        assert report.accuracy == pytest.approx(np.trace(report.confusion_matrix) / 60)
 
     def test_recall_equals_tpr_and_f1_identity(self):
         rng = np.random.default_rng(5)
@@ -213,11 +214,18 @@ class TestClassificationReport:
         with pytest.raises(ValueError, match="align"):
             classification_report(np.zeros(3, dtype=int), np.full((4, 3), 1 / 3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        proba = np.full((4, 3), 1 / 3)
+        proba[1, 2] = proba[3, 0] = proba[3, 1] = bad
+        with pytest.raises(ValueError, match="^2 of 4 probability rows are not finite$"):
+            classification_report(np.asarray([0, 1, 2, 0]), proba)
+
     def test_json_schema_table3_layout(self):
         y = np.asarray([0, 1, 2, 0, 1, 2])
         proba = np.eye(3)[y]
-        report = classification_report(y, proba, classifier_id="knn(k=1)", backend="bk")
-        doc = report.to_dict()
+        report = classification_report(y, proba, classifier="knn(k=1)", backend="bk")
+        doc = jsonable(report)
         text = json.dumps(doc)
         assert doc["classifier"] == "knn(k=1)"
         assert doc["backend"] == "bk"

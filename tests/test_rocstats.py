@@ -21,7 +21,9 @@ from slidebench.rocstats import (
     student_t_cdf,
     venkatraman_test,
 )
-from slidebench.rocstats import _curve_difference, _first_ranks
+from slidebench.rocstats import _curve_difference, _first_ranks, _midrank
+
+from conftest import run_python
 
 
 class TestSpecialFunctions:
@@ -143,6 +145,45 @@ class TestDeLong:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             PairedScores(np.ones(5), np.arange(5.0), np.arange(5.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_scores_rejected(self, bad, side):
+        scores = {"a": np.arange(4.0), "b": np.arange(4.0)}
+        scores[side][2] = bad
+        with pytest.raises(ValueError, match="paired scores must be finite"):
+            PairedScores(np.array([0, 1, 0, 1]), scores["a"], scores["b"])
+
+    def test_midrank_matches_loop_on_ties(self):
+        def loop_midrank(x):
+            order = np.argsort(x, kind="stable")
+            z, ranks = x[order], np.empty(len(x))
+            i = 0
+            while i < len(x):
+                j = i
+                while j < len(x) and z[j] == z[i]:
+                    j += 1
+                ranks[i:j] = 0.5 * (i + j - 1) + 1.0
+                i = j
+            out = np.empty(len(x))
+            out[order] = ranks
+            return out
+
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            x = rng.integers(0, rng.integers(1, 12), rng.integers(1, 40)) / 7.0
+            assert _midrank(x).tobytes() == loop_midrank(x).tobytes()
+
+    def test_midrank_of_nan_returns(self):
+        # Run apart so that a rank loop that never ends fails the test
+        # instead of stalling the suite.
+        code = (
+            "import numpy as np; from slidebench.rocstats import _midrank; "
+            "print(_midrank(np.array([0.2, np.nan, 0.3])).tolist())"
+        )
+        res = run_python("-c", code, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[1.0, 3.0, 2.0]"
 
 
 def _pairwise_auc(y, s):

@@ -5,21 +5,20 @@ import dataclasses
 import errno
 import functools
 import json
+import math
 import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import slidebench
 from slidebench import cli
 from slidebench.categories import Category, Subset
 from slidebench.config import BackendConfig, ConfigError, RunConfig, config_from_dict, load_config
 from slidebench.design import load_design
 from slidebench.embeddings import BackendSpec, cache_path, extract, write_cache
+from slidebench.fileio import write_json
 from slidebench.fixture import paper_manifest
 from slidebench.learners import BaseClassifier, ClassifierSpec
 from slidebench.manifest import parse_manifest, write_manifest
@@ -32,7 +31,7 @@ from slidebench.runner import (
 )
 from slidebench.tracker import WebhookSink
 
-from conftest import pending_connections
+from conftest import pending_connections, run_python
 
 SMALL_COUNTS = {
     Category.BASALOID: 20,
@@ -186,6 +185,37 @@ class TestRunPipeline:
             "webhook_disabled": True,
         }
 
+    def test_every_document_is_strict_json(self, tmp_path):
+        def no_constant(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        cfg = small_config(tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn")
+        run_pipeline(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert cli.main(["aggregate", "--config", str(path)]) == 0
+        assert cli.main(["learning-curve", "--config", str(path), "--classifier", "knn", "--sizes", "20"]) == 0
+        docs = {
+            p.relative_to(cfg.out_dir).as_posix(): json.loads(p.read_text(), parse_constant=no_constant)
+            for p in Path(cfg.out_dir).rglob("*.json")
+        }
+        assert {"run_meta.json", "comparison.json", "bk0/curves/knn.json", "bk1/reports/naive_bayes.json"} <= set(docs)
+        assert docs["run_meta.json"]["config"] == cfg.to_dict()
+        # The first ROC threshold is +inf.
+        assert {c["thresholds"][0] for c in docs["bk0/reports/knn.json"]["roc_curves"].values()} == {None}
+
+    def test_non_finite_probabilities_fail_train(self, tmp_path, monkeypatch):
+        from slidebench.learners.bayes import NaiveBayes
+
+        monkeypatch.setattr(NaiveBayes, "predict_proba", lambda self, X: np.full((len(X), 3), np.nan))
+        cfg = small_config(tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn")
+        with pytest.raises(StageError, match=r"^\[train\] 27 of 27 probability rows are not finite$"):
+            run_pipeline(cfg)
+        out = Path(cfg.out_dir)
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "train", "ValueError")
+        assert not list(out.glob("*/*/naive_bayes.json"))
+
     def test_interrupt_marks_run_failed(self, tmp_path, monkeypatch):
         from slidebench import runner
 
@@ -216,16 +246,6 @@ def precomputed_config(tmp_path: Path, names=("pre",)) -> tuple[RunConfig, list[
         ]
         backends.append(BackendConfig(name=name, kind="precomputed", dim=16, source_dir=str(source)))
     return dataclasses.replace(cfg, backends=backends), files
-
-
-def run_python(*args) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports the same slidebench as this one,
-    also when only pytest's own `pythonpath` setting put it on sys.path."""
-    src = str(Path(slidebench.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
-    )
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -467,6 +487,23 @@ class TestCompareModels:
         assert doc["paired_ttest"]["t"] == 0.0
         assert doc["paired_ttest"]["p"] == 1.0
 
+    def test_constant_accuracy_gap_gives_null_t(self, tmp_path, completed_run):
+        # Every accuracy difference the same and nonzero: t is infinite,
+        # which strict JSON writes as null.
+        cfg, out = completed_run
+        for name, accuracy in (("a", 0.5), ("b", 0.25)):
+            shutil.copytree(out / "bk0" / "predictions", tmp_path / name / "predictions")
+            for kind in cfg.classifiers:
+                report = tmp_path / name / "reports" / f"{kind}.json"
+                report.parent.mkdir(exist_ok=True)
+                report.write_text(json.dumps({"accuracy": accuracy}))
+        doc = compare_models(
+            tmp_path / "a", tmp_path / "b", cfg.selected_classifier, cfg.classifiers, permutations=10
+        )
+        assert (doc["paired_ttest"]["t"], doc["paired_ttest"]["p"]) == (None, 0.0)
+        text = write_json(tmp_path / "comparison.json", doc).read_text()
+        assert '"t": null' in text
+
     def test_stronger_backend_wins(self, tmp_path):
         # Backend 0 has much stronger class separation than backend 1.
         cfg = small_config(tmp_path, seps=(1.2, 0.15), seed=19)
@@ -593,6 +630,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="var_floor_ratio must be >= 0"):
             small_config(tmp_path, grids={"naive_bayes": {"var_floor_ratio": [-1.0]}})
 
+    def test_infinite_grid_value_rejected_when_loading(self, tmp_path):
+        # Loaded, the config's naive Bayes fits gave NaN probabilities,
+        # written as bare NaN tokens in the reports.
+        raw = small_config(tmp_path).to_dict()
+        raw["grids"] = {"naive_bayes": {"var_floor_ratio": [math.inf]}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        assert '"var_floor_ratio": [Infinity]' in path.read_text()
+        with pytest.raises(ConfigError, match="var_floor_ratio must be >= 0 and finite, got inf"):
+            load_config(path)
+
     def test_unknown_grid_parameter_rejected(self, tmp_path):
         # Were the name ignored, the default 100 trees would be fit while
         # the reports named n_trees=10.
@@ -659,6 +707,10 @@ class TestConfig:
         ({"kind": "magic"}, "unknown backend kind 'magic'"),
         ({"kind": "precomputed"}, "precomputed backend requires source_dir"),
         ({"kind": "precomputed", "source_dir": ""}, "precomputed backend requires source_dir"),
+        ({"class_separation": float("nan")}, "class_separation must be finite, got nan"),
+        ({"class_separation": float("inf")}, "class_separation must be finite, got inf"),
+        ({"kind": "precomputed", "source_dir": "s", "class_separation": float("nan")},
+         "class_separation must be finite, got nan"),
     ])
     def test_backend_checked_as_its_spec(self, fields, message):
         # A backend the extract stage could not build is rejected with the
