@@ -120,6 +120,8 @@ class RunConfig:
         unknown = [c for c in self.classifiers if c not in KINDS]
         if unknown:
             raise ConfigError(f"unknown classifier kind(s): {', '.join(unknown)}")
+        if len(set(self.classifiers)) != len(self.classifiers):
+            raise ConfigError("classifier kinds must be unique")
         if self.selected_classifier not in self.classifiers:
             raise ConfigError(
                 f"selected classifier {self.selected_classifier!r} is not in the classifier list"

@@ -165,6 +165,14 @@ def normalize_rows(p: np.ndarray) -> np.ndarray:
     return np.where(s > 0, p / np.where(s > 0, s, 1.0), uniform)
 
 
+def check_shapes(arrays: Mapping[str, np.ndarray], **shapes: tuple) -> None:
+    """Raise ValueError naming the first of `arrays` whose shape is not the
+    one given for it: how `restore` checks a model file's arrays."""
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"array {name!r} has shape {arrays[name].shape}, expected {shape}")
+
+
 def staged_results(members, stages, add, result) -> list:
     """`result(t)` after `add(member)` has taken the first t members, for
     each t in `stages` (capped at the member count), in the order
@@ -233,7 +241,8 @@ class BaseClassifier:
 
     def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
         """Make this unfitted model the one whose `state()` gave `extra` and
-        `arrays`; `classes_` is already set."""
+        `arrays`; `classes_` is already set. Arrays that disagree with
+        `classes_`, `extra` or each other raise ValueError."""
         raise NotImplementedError
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseClassifier, check_training_inputs
+from .base import BaseClassifier, check_shapes, check_training_inputs
 
 
 class NaiveBayes(BaseClassifier):
@@ -39,7 +39,9 @@ class NaiveBayes(BaseClassifier):
         return {"d": self._d}, {"priors": self.priors_, "means": self.means_, "vars": self.vars_}
 
     def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
-        self._set_fitted(arrays["priors"], arrays["means"], arrays["vars"], extra["d"])
+        k, d = len(self.classes_), extra["d"]
+        check_shapes(arrays, priors=(k,), means=(k, d), vars=(k, d))
+        self._set_fitted(arrays["priors"], arrays["means"], arrays["vars"], d)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_predict_input(X)

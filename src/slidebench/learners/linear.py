@@ -10,6 +10,7 @@ from .base import (
     BaseClassifier,
     Standardizer,
     chan_sum,
+    check_shapes,
     check_training_inputs,
     one_hot,
     softmax,
@@ -127,6 +128,8 @@ class LogisticRegression(BaseClassifier):
         return {}, {"W": self.W_, "b": self.b_, "scaler_mean": scaler.mean, "scaler_scale": scaler.scale}
 
     def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
+        k, d = len(self.classes_), arrays["scaler_mean"].size
+        check_shapes(arrays, W=(d, k), b=(k,), scaler_mean=(d,), scaler_scale=(d,))
         scaler = Standardizer(arrays["scaler_mean"], arrays["scaler_scale"])
         self._set_fitted(arrays["W"], arrays["b"], scaler)
 

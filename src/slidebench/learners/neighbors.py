@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseClassifier, check_training_inputs
+from .base import BaseClassifier, check_shapes, check_training_inputs
 
 
 class KNearestNeighbor(BaseClassifier):
@@ -29,7 +29,14 @@ class KNearestNeighbor(BaseClassifier):
         return {}, {"X": self._X, "codes": self._codes}
 
     def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
-        self._set_fitted(arrays["X"], arrays["codes"])
+        X, codes, k = arrays["X"], arrays["codes"], len(self.classes_)
+        if X.ndim != 2:
+            raise ValueError(f"array 'X' has shape {X.shape}, expected 2-D")
+        check_shapes(arrays, codes=(X.shape[0],))
+        in_range = codes.size == 0 or 0 <= codes.min() <= codes.max() < k
+        if not (np.issubdtype(codes.dtype, np.integer) and in_range):
+            raise ValueError(f"array 'codes' must hold integers in 0..{k - 1}")
+        self._set_fitted(X, codes)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.staged_proba(X, [self.spec.param("k")])[0]

@@ -2,9 +2,10 @@
 
 Each event is one JSON line with the sorted keys `metric`, `phase`,
 `run_id`, `step`, `ts` and `value`; a metric's steps count from 0 per
-tracker. The line appends to a local file (fatal on failure) and, when
-configured, is POSTed to a webhook with retries; webhook failures only
-warn and never abort the run. Once one event has run out of attempts the
+tracker. Values follow the documents' JSON rule (`fileio.jsonable`):
++-inf is written as null and a NaN is refused. The line appends to a
+local file (fatal on failure) and, when configured, is POSTed to a
+webhook with retries; webhook failures only warn and never abort the run. Once one event has run out of attempts the
 webhook is disabled for the rest of the run, so a sink that never answers
 costs one event's retries, not every event's.
 """
@@ -15,6 +16,8 @@ import json
 import logging
 import time
 from pathlib import Path
+
+from .fileio import jsonable
 
 logger = logging.getLogger(__name__)
 
@@ -75,11 +78,16 @@ class Tracker:
         self._steps: dict[str, int] = {}
 
     def track(self, phase: str, metric: str, value: float) -> None:
+        """Log one event; an infinite value is written as null, and a NaN
+        raises ValueError before anything is counted, written or sent."""
         step = self._steps.get(metric, -1) + 1
-        self._steps[metric] = step
         event = {"run_id": self.run_id, "ts": time.time(), "phase": phase,
                  "metric": metric, "value": float(value), "step": step}
-        line = json.dumps(event, sort_keys=True)
+        try:
+            line = json.dumps(jsonable(event), sort_keys=True, allow_nan=False)
+        except ValueError:
+            raise ValueError(f"{phase}/{metric}: event value {value!r} is not a number") from None
+        self._steps[metric] = step
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         if self.webhook is not None:

@@ -995,6 +995,27 @@ def _naive_bayes_file(path, kind="naive_bayes", params=None, extra=None, drop=()
     return _write_modl(path, kind, keep(meta), keep(arrays))
 
 
+# The arrays of a valid two-feature, three-class model file of each
+# treeless kind, with its `extra`.
+_TREELESS_STATE = {
+    "logistic_regression": ({}, {
+        "W": np.zeros((2, 3)), "b": np.zeros(3), "scaler_mean": np.zeros(2), "scaler_scale": np.ones(2),
+    }),
+    "knn": ({}, {"X": np.arange(8.0).reshape(4, 2), "codes": np.array([0, 1, 2, 2], dtype=np.int64)}),
+    "naive_bayes": ({"d": 2}, {"priors": np.full(3, 1 / 3), "means": np.zeros((3, 2)), "vars": np.ones((3, 2))}),
+}
+
+
+def _treeless_file(path, kind, changes):
+    """A three-class model file of `kind` with `changes` to its arrays
+    and, under the key "extra", to its extra."""
+    extra, arrays = _TREELESS_STATE[kind]
+    extra = changes.get("extra", extra)
+    arrays = {"classes": np.arange(3, dtype=np.int64), **arrays}
+    arrays.update((k, v) for k, v in changes.items() if k != "extra")
+    return _write_modl(path, kind, {"kind": kind, "params": {}, "seed": 0, "extra": extra}, arrays)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", sorted(GOLDEN_TREELESS_MODELS))
     def test_treeless_model_bytes_unchanged(self, kind, tmp_path):
@@ -1025,6 +1046,32 @@ class TestSerialization:
     def test_wrong_content_names_the_file(self, case, message, tmp_path):
         path = _naive_bayes_file(tmp_path / "m.modl", **case)
         with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", sorted(_TREELESS_STATE))
+    def test_hand_built_treeless_file_loads(self, kind, tmp_path):
+        model = load_model(_treeless_file(tmp_path / "m.modl", kind, {}))
+        assert model.predict_proba(np.zeros((1, 2))).shape == (1, 3)
+
+    @pytest.mark.parametrize(
+        "kind, changes, message",
+        [
+            ("logistic_regression", {"W": np.zeros((2, 2))}, "array 'W' has shape (2, 2), expected (2, 3)"),
+            ("logistic_regression", {"b": np.zeros(2)}, "array 'b' has shape (2,), expected (3,)"),
+            ("logistic_regression", {"scaler_scale": np.ones(3)}, "array 'scaler_scale' has shape (3,), expected (2,)"),
+            ("knn", {"codes": np.array([0, 1, 2, 3], dtype=np.int64)}, "array 'codes' must hold integers in 0..2"),
+            ("knn", {"codes": np.array([0.0, 1.0, 2.0, 2.0])}, "array 'codes' must hold integers in 0..2"),
+            ("knn", {"codes": np.array([0, 1, 2], dtype=np.int64)}, "array 'codes' has shape (3,), expected (4,)"),
+            ("naive_bayes", {"extra": {"d": 5}}, "array 'means' has shape (3, 2), expected (3, 5)"),
+            ("naive_bayes", {"priors": np.full(2, 0.5)}, "array 'priors' has shape (2,), expected (3,)"),
+            ("naive_bayes", {"vars": np.ones((3, 3))}, "array 'vars' has shape (3, 3), expected (3, 2)"),
+        ],
+        ids=["lr_W", "lr_b", "lr_scaler", "knn_code_range", "knn_code_dtype", "knn_codes_rows",
+             "nb_extra_d", "nb_priors", "nb_vars"],
+    )
+    def test_disagreeing_arrays_name_the_file(self, kind, changes, message, tmp_path):
+        path = _treeless_file(tmp_path / "m.modl", kind, changes)
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             load_model(path)
 
     @pytest.mark.parametrize("kind", KINDS)

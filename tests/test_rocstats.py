@@ -15,38 +15,20 @@ from slidebench.metrics import auroc
 from slidebench.rocstats import (
     PairedScores,
     delong_test,
-    normal_cdf,
     paired_ttest,
-    regularized_incomplete_beta,
     student_t_cdf,
     venkatraman_test,
 )
-from slidebench.rocstats import _curve_difference, _first_ranks, _midrank
+from slidebench.rocstats import _curve_difference, _first_ranks, _midrank, _t_central
 
 from conftest import run_python
 
 
 class TestSpecialFunctions:
-    def test_normal_cdf_vs_mpmath(self):
-        for z in (-8.0, -3.2, -1.96, -0.5, 0.0, 0.5, 1.0, 1.96, 2.5761, 4.0, 8.0):
-            expected = float(mpmath.ncdf(z))
-            assert normal_cdf(z) == pytest.approx(expected, abs=1e-12)
-
     def test_z_196_gives_p_005(self):
-        p = 2.0 * (1.0 - normal_cdf(1.96))
+        # DeLong's two-sided p is the normal tail erfc(|z| / sqrt(2)).
+        p = math.erfc(1.96 / math.sqrt(2.0))
         assert p == pytest.approx(0.05, abs=1e-3)
-
-    def test_incomplete_beta_vs_mpmath(self):
-        for a, b, x in [
-            (0.5, 0.5, 0.3),
-            (1.0, 2.0, 0.7),
-            (3.0, 0.5, 0.9),
-            (2.5, 4.5, 0.12),
-            (10.0, 0.5, 0.99),
-            (0.5, 10.0, 0.01),
-        ]:
-            expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
-            assert regularized_incomplete_beta(a, b, x) == pytest.approx(expected, abs=1e-10)
 
     def test_student_t_cdf_vs_mpmath(self):
         for t, df in [(0.0, 1), (1.0, 1), (-2.0, 3), (3.4641, 2), (1.706, 6), (-1.706, 6), (5.0, 30)]:
@@ -57,6 +39,26 @@ class TestSpecialFunctions:
                 ) * mpmath.sign(t)
             ) if t != 0 else 0.5
             assert student_t_cdf(t, df) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("df", range(1, 31))
+    def test_student_t_tails_vs_mpmath(self, df):
+        # I_x(df/2, 1/2) at x = df / (df + t^2) is the two-sided tail
+        # P(|T| > |t|), evaluated at 40 digits.
+        with mpmath.workdps(40):
+            for t in (0.0, 1e-3, 0.5, 1.706, 2.447, 3.4641, 10.0, 1e3):
+                two_sided = mpmath.betainc(
+                    mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0,
+                    mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2), regularized=True,
+                )
+                assert abs(1.0 - _t_central(t, df) - two_sided) < 1e-14
+                lower = two_sided / 2 if t else mpmath.mpf(1) / 2
+                assert abs(student_t_cdf(t, df) - (1 - lower)) < 1e-14
+                assert abs(student_t_cdf(-t, df) - lower) < 1e-14
+
+    @pytest.mark.parametrize("df", [0, -1, 2.0, 2.5, "3"])
+    def test_student_t_cdf_rejects_bad_df(self, df):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            student_t_cdf(1.0, df)
 
 
 def correlated_null_scores(rng, n=100, n_pos=40, rho=0.6, delta=1.5):
@@ -111,6 +113,21 @@ class TestDeLong:
         res = delong_test(PairedScores(y, strong, weak))
         assert res.p < 0.01
         assert res.z > 0
+
+    @pytest.mark.parametrize("seed, delta, z", [(0, 0.89, 9), (2, 0.41, 12)])
+    def test_far_tail_p_is_erfc(self, seed, delta, z):
+        # A perfect classifier against a weak one: |z| near 9 and 12, where
+        # 1 - cdf rounds to 0.0 but the tail is still a normal double.
+        rng = np.random.default_rng(seed)
+        y = np.zeros(300, dtype=int)
+        y[:150] = 1
+        rng.shuffle(y)
+        strong = rng.standard_normal(300) + 4.0 * y
+        weak = rng.standard_normal(300) + delta * y
+        res = delong_test(PairedScores(y, strong, weak))
+        assert round(res.z) == z
+        expected = mpmath.erfc(mpmath.mpf(res.z) / mpmath.sqrt(2))
+        assert res.p == pytest.approx(float(expected), rel=1e-12, abs=0.0)
 
     def test_variance_matches_paired_bootstrap(self):
         # Fixed-seed n=60 instance; 10k-resample paired bootstrap oracle.

@@ -619,6 +619,15 @@ class TestConfig:
                 ],
             )
 
+    def test_duplicate_classifier_kinds_rejected_when_loading(self, tmp_path):
+        # Two train tasks for one kind would write the same four documents.
+        raw = small_config(tmp_path).to_dict()
+        raw.update(classifiers=["knn", "knn", "naive_bayes"], selected_classifier="knn")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="^classifier kinds must be unique$"):
+            load_config(path)
+
     def test_decreasing_curve_sizes_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="strictly increasing"):
             small_config(tmp_path, learning_curve_sizes=[50, 20])

@@ -41,6 +41,26 @@ class TestJsonl:
             '"step": 0, "ts": 1760000000.125, "value": 90.0}\n'
         )
 
+    def test_infinite_value_written_as_null(self, tmp_path):
+        tracker = Tracker("run1", tmp_path / "events.jsonl")
+        tracker.track("compare", "paired_ttest_t", float("-inf"))
+        [event] = read_log(tmp_path / "events.jsonl")
+        assert event["value"] is None
+
+    def test_nan_value_refused_before_anything_is_logged(self, tmp_path):
+        sent = []
+        webhook = WebhookSink("http://127.0.0.1:9/")
+        webhook.emit = sent.append
+        tracker = Tracker("run1", tmp_path / "events.jsonl", webhook=webhook)
+        with pytest.raises(ValueError, match="^compare/paired_ttest_p: "):
+            tracker.track("compare", "paired_ttest_p", float("nan"))
+        assert not (tmp_path / "events.jsonl").exists()
+        assert sent == []
+        tracker.track("compare", "paired_ttest_p", 0.5)
+        [event] = read_log(tmp_path / "events.jsonl")
+        assert event["step"] == 0
+        assert len(sent) == 1
+
     def test_thousand_events_monotone_steps(self, tmp_path):
         tracker = Tracker("run1", tmp_path / "events.jsonl")
         for i in range(500):
