@@ -22,8 +22,8 @@ from .embeddings import (
     CacheFormatError,
     EmbeddingMatrix,
     extract,
+    missing_caches,
     read_cache,
-    scan_cache,
     write_cache,
 )
 from .design import (

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .categories import Category, EffectiveSubset
-from .embeddings import EmbeddingMatrix, cache_path, check_cache, read_cache, scan_cache
+from .embeddings import EmbeddingMatrix, cache_path, check_cache, missing_caches, read_cache
 from .fileio import read_framed, write_framed
 from .manifest import Manifest, SlideMeta
 
@@ -115,7 +115,7 @@ def build_design(manifest: Manifest, cache_dir: str | Path, backend_name: str, d
     each cache must hold its manifest row's slide id, label and subset at
     the backend's `dim`."""
     directory = Path(cache_dir) / backend_name
-    missing = scan_cache(directory, manifest).missing
+    missing = missing_caches(directory, manifest)
     if missing:
         raise DesignError(
             f"missing embedding caches under {directory}: {', '.join(missing)}"

@@ -251,24 +251,8 @@ def read_cache(path: str | Path) -> EmbeddingMatrix:
     return EmbeddingMatrix(slide_id, data.copy(), label, subset)
 
 
-@dataclass(frozen=True)
-class CacheReport:
-    """Coverage of a cache directory against a manifest."""
-
-    present: tuple[str, ...]
-    missing: tuple[str, ...]
-    orphaned: tuple[str, ...]
-
-
-def scan_cache(directory: str | Path, manifest: Manifest) -> CacheReport:
-    """Classify every manifest slide as present/missing; list orphan files."""
-    directory = Path(directory)
-    on_disk = set()
-    if directory.is_dir():
-        on_disk = {p.stem for p in directory.glob(f"*{CACHE_SUFFIX}")}
-    wanted = [m.file for m in manifest]
-    wanted_set = set(wanted)
-    present = tuple(s for s in wanted if s in on_disk)
-    missing = tuple(s for s in wanted if s not in on_disk)
-    orphaned = tuple(sorted(on_disk - wanted_set))
-    return CacheReport(present=present, missing=missing, orphaned=orphaned)
+def missing_caches(directory: str | Path, manifest: Manifest) -> list[str]:
+    """The manifest's slide ids, in manifest order, that have no cache file
+    in `directory` (all of them when it does not exist)."""
+    on_disk = {p.stem for p in Path(directory).glob(f"*{CACHE_SUFFIX}")}
+    return [m.file for m in manifest if m.file not in on_disk]

@@ -1,11 +1,13 @@
-"""Whole-file writes that replace the final name in one step, the JSON
-document writer, and the frame of the binary file formats.
+"""Whole-file writes and hard links that replace the final name in one
+step, the JSON document writer, and the frame of the binary file formats.
 
 Every file slidebench emits (caches, design matrices, models, JSON
 documents, plots) is written to `<name>.tmp` and renamed over `<name>`.
 A reader, or a run killed midway, sees the previous file or the new one,
 never a part; and a final name that is a hard link to someone else's
 file (a linked precomputed cache) is replaced, never opened for writing.
+`link_atomic` puts a hard link in place the same way, and
+`remove_temp_files` drops the temp names a killed run left behind.
 
 JSON documents are strict RFC 8259 JSON: `jsonable` is the one rule
 that turns a value into JSON types, and it writes an infinity as `null`;
@@ -61,6 +63,40 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> Path:
         raise
     os.replace(tmp, path)
     return path
+
+
+def link_atomic(source: str | Path, path: str | Path) -> bool:
+    """Make `path` a hard link to `source`, replacing any file there in one
+    step; False when the filesystem cannot link it (another device, no
+    link support, EMLINK), for the caller to write the file instead."""
+    try:
+        os.link(source, path)
+        return True
+    except FileExistsError:
+        pass
+    except OSError:
+        return False
+    # An earlier file holds the name: link beside it, rename over it.
+    tmp = temp_path(Path(path))
+    try:
+        os.link(source, tmp)
+    except OSError:
+        return False
+    os.replace(tmp, path)
+    # rename() leaves both names alone when they already share an inode,
+    # as on a rerun that links the same source again.
+    if os.path.lexists(tmp):
+        os.unlink(tmp)
+    return True
+
+
+def remove_temp_files(directory: str | Path) -> None:
+    """Drop the temp names a killed run left in `directory`; one may be a
+    hard link to another file, so only the name goes."""
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            if entry.name.endswith(TEMP_SUFFIX):
+                os.unlink(entry.path)
 
 
 def jsonable(value: Any) -> Any:

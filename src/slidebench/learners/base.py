@@ -261,5 +261,4 @@ class BaseClassifier:
     def _encode(self, y: np.ndarray) -> np.ndarray:
         """Map labels to contiguous 0..K-1 codes; sets classes_."""
         self.classes_ = np.unique(y)
-        lookup = {c: i for i, c in enumerate(self.classes_.tolist())}
-        return np.asarray([lookup[v] for v in y.tolist()], dtype=np.int64)
+        return np.searchsorted(self.classes_, y).astype(np.int64, copy=False)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .base import (
     BaseClassifier,
+    check_shapes,
     check_training_inputs,
     normalize_rows,
     one_hot,
@@ -37,9 +38,9 @@ def _numbered_arrays(trees: list[FittedTree]) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _numbered_trees(arrays: dict[str, np.ndarray], n_trees: int) -> list[FittedTree]:
-    """The `n_trees` trees that `_numbered_arrays` stored in `arrays`."""
-    return [FittedTree.from_arrays(arrays, f"t{i}/") for i in range(n_trees)]
+def _numbered_trees(arrays: dict[str, np.ndarray], extra: dict, width: int) -> list[FittedTree]:
+    """The `extra["n_trees"]` trees that `_numbered_arrays` stored in `arrays`."""
+    return [FittedTree.from_arrays(arrays, extra["d"], width, f"t{i}/") for i in range(extra["n_trees"])]
 
 
 class RandomForest(BaseClassifier):
@@ -90,7 +91,7 @@ class RandomForest(BaseClassifier):
         return {"d": self._d, "n_trees": len(self.trees_)}, _numbered_arrays(self.trees_)
 
     def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
-        self._set_fitted(_numbered_trees(arrays, extra["n_trees"]), extra["d"])
+        self._set_fitted(_numbered_trees(arrays, extra, len(self.classes_)), extra["d"])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.staged_proba(X, [len(self.trees_)])[0]
@@ -156,8 +157,11 @@ class GradientBoosting(BaseClassifier):
         return {"d": self._d, "n_rounds": len(self.rounds_), "n_classes": len(self.classes_)}, arrays
 
     def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
+        check_shapes(arrays, train_loss=(extra["n_rounds"] + 1,))
+        if extra["n_classes"] != len(self.classes_):
+            raise ValueError(f"extra n_classes={extra['n_classes']} disagrees with {len(self.classes_)} classes")
         rounds = [
-            [FittedTree.from_arrays(arrays, f"r{r}/c{c}/") for c in range(extra["n_classes"])]
+            [FittedTree.from_arrays(arrays, extra["d"], 1, f"r{r}/c{c}/") for c in range(extra["n_classes"])]
             for r in range(extra["n_rounds"])
         ]
         self._set_fitted(rounds, arrays["train_loss"].tolist(), extra["d"])
@@ -232,7 +236,8 @@ class AdaBoost(BaseClassifier):
         return {"d": self._d, "n_trees": len(self.trees_)}, arrays
 
     def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
-        self._set_fitted(_numbered_trees(arrays, extra["n_trees"]), arrays["alphas"].tolist(), extra["d"])
+        check_shapes(arrays, alphas=(extra["n_trees"],))
+        self._set_fitted(_numbered_trees(arrays, extra, len(self.classes_)), arrays["alphas"].tolist(), extra["d"])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.staged_proba(X, [len(self.trees_)])[0]

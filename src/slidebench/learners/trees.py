@@ -56,6 +56,7 @@ from .base import (
     BaseClassifier,
     ClassifierSpec,
     chan_sum,
+    check_shapes,
     check_training_inputs,
     normalize_rows,
 )
@@ -77,10 +78,6 @@ class BinTable:
     edges_flat: np.ndarray  # concatenated per-feature thresholds
     edge_offset: np.ndarray  # (d+1,) start of each feature's thresholds
     flat_codes: np.ndarray  # (n, d) int64, codes + feature * max_b
-
-    @property
-    def max_b(self) -> int:
-        return int(self.n_bins.max())
 
     def threshold(self, feature: int, boundary: int) -> float:
         return float(self.edges_flat[self.edge_offset[feature] + boundary])
@@ -220,9 +217,31 @@ class FittedTree:
         return {prefix + f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "") -> "FittedTree":
-        """The tree `to_arrays(prefix)` stored in `arrays`."""
-        return cls(**{f.name: arrays[prefix + f.name] for f in fields(cls)})
+    def from_arrays(cls, arrays: dict[str, np.ndarray], d: int, width: int, prefix: str = "") -> "FittedTree":
+        """The tree `to_arrays(prefix)` stored in `arrays`, over `d` features
+        with `width` values per node. Raises ValueError unless the arrays
+        form such a tree: a leaf's children are -1, and a split node's
+        feature is below `d` and its children are stored after it."""
+        tree = cls(**{f.name: arrays[prefix + f.name] for f in fields(cls)})
+        n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
+        if n < 1:
+            raise ValueError(f"array '{prefix}feature' has shape {tree.feature.shape}, expected (n,) with n >= 1")
+        check_shapes(arrays, **{prefix + name: (n,) for name in ("threshold", "left", "right")})
+        check_shapes(arrays, **{prefix + "value": (n, width)})
+        for name in ("feature", "left", "right"):
+            if not np.issubdtype(getattr(tree, name).dtype, np.integer):
+                raise ValueError(f"array '{prefix}{name}' must hold integers")
+        split = tree.feature >= 0
+        ids = np.arange(n)[split]
+        if (tree.feature[split] >= d).any():
+            raise ValueError(f"array '{prefix}feature' must hold feature indices below d={d}")
+        for name in ("left", "right"):
+            child = getattr(tree, name)
+            if (child[~split] != -1).any():
+                raise ValueError(f"array '{prefix}{name}' must hold -1 at every leaf")
+            if ((child[split] <= ids) | (child[split] >= n)).any():
+                raise ValueError(f"array '{prefix}{name}' must hold ids after their parent's and below {n}")
+        return tree
 
 
 class _NodeStore:
@@ -574,7 +593,7 @@ class DecisionTree(BaseClassifier):
         return {"d": self._d}, self.tree_.to_arrays()
 
     def restore(self, extra: dict, arrays: dict[str, np.ndarray]) -> None:
-        self._set_fitted(FittedTree.from_arrays(arrays), extra["d"])
+        self._set_fitted(FittedTree.from_arrays(arrays, extra["d"], len(self.classes_)), extra["d"])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.staged_proba(X, [None])[0]

@@ -19,8 +19,8 @@ import numpy as np
 from .categories import CLASSIFIED_CATEGORIES
 from .config import BackendConfig, RunConfig, derive_seed
 from .design import DesignMatrix, aggregate_design, build_design, load_design, save_design, split_design
-from .embeddings import CACHE_SUFFIX, extract, scan_cache, slide_rng, write_cache
-from .fileio import TEMP_SUFFIX, jsonable, write_json
+from .embeddings import CACHE_SUFFIX, extract, missing_caches, slide_rng, write_cache
+from .fileio import jsonable, link_atomic, remove_temp_files, write_json
 from .fixture import largest_remainder
 from .learners import (
     KIND_LABELS,
@@ -79,15 +79,15 @@ def extract_stage(cfg: RunConfig, manifest: Manifest) -> dict[str, DesignMatrix]
         spec = backend.spec(cfg.seed)
         directory = os.path.join(cfg.cache_dir, backend.name)
         if spec.kind == "precomputed":
-            report = scan_cache(spec.source_dir, manifest)
-            if report.missing:
+            missing = missing_caches(spec.source_dir, manifest)
+            if missing:
                 raise StageError(
                     "extract",
-                    f"backend {backend.name!r}: {len(report.missing)} slide(s) missing "
-                    f"from {spec.source_dir}: {', '.join(report.missing[:10])}",
+                    f"backend {backend.name!r}: {len(missing)} slide(s) missing "
+                    f"from {spec.source_dir}: {', '.join(missing[:10])}",
                 )
         os.makedirs(directory, exist_ok=True)
-        _remove_temp_files(directory)
+        remove_temp_files(directory)
 
         def embed(meta):
             if spec.kind == "synthetic":
@@ -97,46 +97,13 @@ def extract_stage(cfg: RunConfig, manifest: Manifest) -> dict[str, DesignMatrix]
                 return emb
             # Precomputed caches carry their own patch counts.
             emb = extract(spec, meta.file, meta.category, meta.effective)
-            if not _link_cache(os.path.join(spec.source_dir, meta.file + CACHE_SUFFIX), directory):
+            name = meta.file + CACHE_SUFFIX
+            if not link_atomic(os.path.join(spec.source_dir, name), os.path.join(directory, name)):
                 write_cache(emb, directory)
             return emb
 
         designs[backend.name] = aggregate_design(manifest, embed)
     return designs
-
-
-def _remove_temp_files(directory: str) -> None:
-    """Drop the cache temp names a killed run left behind; one may be a
-    hard link to a source, so only the name goes."""
-    with os.scandir(directory) as entries:
-        for entry in entries:
-            if entry.name.endswith(CACHE_SUFFIX + TEMP_SUFFIX):
-                os.unlink(entry.path)
-
-
-def _link_cache(source: str, directory: str) -> bool:
-    """Hard-link `source` into `directory` under its own name; False when the
-    filesystem cannot link it (another device, no link support, EMLINK)."""
-    dst = os.path.join(directory, os.path.basename(source))
-    try:
-        os.link(source, dst)
-        return True
-    except FileExistsError:
-        pass
-    except OSError:
-        return False
-    # An earlier run's cache holds the name: link beside it, rename over it.
-    tmp = dst + TEMP_SUFFIX
-    try:
-        os.link(source, tmp)
-    except OSError:
-        return False
-    os.replace(tmp, dst)
-    # rename() leaves both names alone when they already share an inode,
-    # as on a rerun that links the same source again.
-    if os.path.lexists(tmp):
-        os.unlink(tmp)
-    return True
 
 
 def patch_count(backend: BackendConfig, spec_seed: int, slide_id: str) -> int:
@@ -256,50 +223,31 @@ def train_evaluate_stage(
     return results
 
 
-def accuracy_table(cfg: RunConfig, results: dict[tuple[str, str], FitResult]) -> dict:
+def _table(cfg: RunConfig, results: dict[tuple[str, str], FitResult], metric: str, columns: list[tuple]) -> dict:
+    """The `metric` table: for each configured kind in TABLE_ORDER, one row
+    per `(extra, value)` of `columns`, with the classifier label, the kind,
+    the `extra` columns and `value(report)` for each backend."""
     backends = [b.name for b in cfg.backends]
-    rows = []
-    for kind in TABLE_ORDER:
-        if kind not in cfg.classifiers:
-            continue
-        rows.append(
-            {
-                "classifier": KIND_LABELS[kind],
-                "kind": kind,
-                "accuracy": {b: results[(b, kind)].report.accuracy for b in backends},
-            }
-        )
-    return {"metric": "accuracy", "backends": backends, "rows": rows}
+    rows = [
+        {"classifier": KIND_LABELS[kind], "kind": kind, **extra,
+         metric: {b: value(results[(b, kind)].report) for b in backends}}
+        for kind in TABLE_ORDER if kind in cfg.classifiers
+        for extra, value in columns
+    ]
+    return {"metric": metric, "backends": backends, "rows": rows}
+
+
+def accuracy_table(cfg: RunConfig, results: dict[tuple[str, str], FitResult]) -> dict:
+    return _table(cfg, results, "accuracy", [({}, lambda report: report.accuracy)])
 
 
 def f1_table(cfg: RunConfig, results: dict[tuple[str, str], FitResult]) -> dict:
-    backends = [b.name for b in cfg.backends]
-    rows = []
-    for kind in TABLE_ORDER:
-        if kind not in cfg.classifiers:
-            continue
-        for cat in CLASSIFIED_CATEGORIES:
-            rows.append(
-                {
-                    "classifier": KIND_LABELS[kind],
-                    "kind": kind,
-                    "category": cat.to_text(),
-                    "f1": {
-                        b: results[(b, kind)].report.per_class[cat.to_text()].f1 for b in backends
-                    },
-                }
-            )
-    return {"metric": "f1", "backends": backends, "rows": rows}
+    names = [cat.to_text() for cat in CLASSIFIED_CATEGORIES]
+    columns = [({"category": n}, lambda report, n=n: report.per_class[n].f1) for n in names]
+    return _table(cfg, results, "f1", columns)
 
 
 # -- comparison ---------------------------------------------------------------
-
-def _load_predictions(backend_dir: Path, kind: str) -> dict:
-    path = backend_dir / "predictions" / f"{kind}.json"
-    if not path.exists():
-        raise FileNotFoundError(f"missing predictions file: {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
-
 
 def compare_models(
     dir_a: str | Path,
@@ -317,8 +265,8 @@ def compare_models(
     identical order.
     """
     dir_a, dir_b = Path(dir_a), Path(dir_b)
-    pred_a = _load_predictions(dir_a, selected_classifier)
-    pred_b = _load_predictions(dir_b, selected_classifier)
+    pred_a = json.loads((dir_a / "predictions" / f"{selected_classifier}.json").read_text(encoding="utf-8"))
+    pred_b = json.loads((dir_b / "predictions" / f"{selected_classifier}.json").read_text(encoding="utf-8"))
     if pred_a["slide_ids"] != pred_b["slide_ids"]:
         raise ValueError("unpaired test sets: slide ids differ between runs")
     if pred_a["y_true"] != pred_b["y_true"]:
@@ -521,10 +469,8 @@ def plot_stage(cfg: RunConfig) -> list[Path]:
     for backend in cfg.backends:
         report_dir = out / backend.name / "reports"
         for kind in cfg.classifiers:
-            path = report_dir / f"{kind}.json"
-            if path.exists():
-                report = json.loads(path.read_text(encoding="utf-8"))
-                written.extend(emit_report_plots(report, out / backend.name / "plots", kind))
+            report = json.loads((report_dir / f"{kind}.json").read_text(encoding="utf-8"))
+            written.extend(emit_report_plots(report, out / backend.name / "plots", kind))
     return written
 
 
@@ -598,11 +544,12 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
             run("plot", plot_stage, cfg)
     except BaseException as exc:
         # Any exception marks the run failed, KeyboardInterrupt included. For
-        # a StageError, record the error that caused it.
-        error = exc
+        # a StageError, record the error that caused it and its untagged
+        # message, which is the cause's own.
+        error, message = exc, str(exc)
         if isinstance(exc, StageError):
-            stage, error = exc.stage, exc.__cause__ or exc
-        write_json(meta_path, meta("failed", stage=stage, error=type(error).__name__))
+            stage, error, message = exc.stage, exc.__cause__ or exc, exc.args[0]
+        write_json(meta_path, meta("failed", stage=stage, error=type(error).__name__, message=message))
         raise
 
     write_json(meta_path, meta("complete"))

@@ -16,8 +16,8 @@ from slidebench.embeddings import (
     class_directions,
     class_mean,
     extract,
+    missing_caches,
     read_cache,
-    scan_cache,
     write_cache,
 )
 from slidebench.manifest import SlideMeta
@@ -250,16 +250,11 @@ class TestScanCache:
                                 m.category, EffectiveSubset.TRAIN),
                 tmp_path,
             )
-        report = scan_cache(tmp_path, manifest)
-        assert len(report.present) == 5
-        assert report.missing == ()
-        assert report.orphaned == ()
+        assert missing_caches(tmp_path, manifest) == []
 
     def test_empty_directory_all_missing(self, tmp_path):
         manifest = [meta_for(f"s{i}") for i in range(4)]
-        report = scan_cache(tmp_path / "nope", manifest)
-        assert len(report.missing) == 4
-        assert report.present == ()
+        assert missing_caches(tmp_path / "nope", manifest) == [m.file for m in manifest]
 
     def test_deleted_subset_counted(self, tmp_path):
         manifest = [meta_for(f"s{i}") for i in range(20)]
@@ -272,9 +267,7 @@ class TestScanCache:
             )
         for i in range(13):
             cache_path(tmp_path, f"s{i}").unlink()
-        report = scan_cache(tmp_path, manifest)
-        assert len(report.missing) == 13
-        assert len(report.present) == 7
+        assert missing_caches(tmp_path, manifest) == [f"s{i}" for i in range(13)]
 
     def test_orphans_listed(self, tmp_path):
         manifest = [meta_for("s0")]
@@ -285,5 +278,4 @@ class TestScanCache:
                                 Category.SQUAMOUS, EffectiveSubset.TRAIN),
                 tmp_path,
             )
-        report = scan_cache(tmp_path, manifest)
-        assert report.orphaned == ("zzz",)
+        assert missing_caches(tmp_path, manifest) == []

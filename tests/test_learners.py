@@ -966,7 +966,7 @@ GOLDEN_TREELESS_MODELS = {
     ),
 }
 
-_DTYPE_CODES = {np.dtype("<f8"): 0, np.dtype("<i8"): 2}
+_DTYPE_CODES = {np.dtype("<f8"): 0, np.dtype("<i4"): 1, np.dtype("<i8"): 2}
 
 
 def _write_modl(path, kind: str, meta: dict, arrays: dict):
@@ -1006,10 +1006,35 @@ _TREELESS_STATE = {
 }
 
 
-def _treeless_file(path, kind, changes):
+
+def _tree_arrays(prefix: str, width: int) -> dict:
+    """A root split on feature 0 over two leaves, as `FittedTree.to_arrays(prefix)` names them."""
+    return {
+        prefix + "feature": np.array([0, -1, -1], dtype=np.int32),
+        prefix + "threshold": np.array([0.5, 0.0, 0.0]),
+        prefix + "left": np.array([1, -1, -1], dtype=np.int32),
+        prefix + "right": np.array([2, -1, -1], dtype=np.int32),
+        prefix + "value": np.arange(3.0 * width).reshape(3, width),
+    }
+
+
+# The same for each tree kind: two-feature, three-class files whose
+# trees are `_tree_arrays`.
+_TREE_STATE = {
+    "decision_tree": ({"d": 2}, _tree_arrays("", 3)),
+    "random_forest": ({"d": 2, "n_trees": 2}, {**_tree_arrays("t0/", 3), **_tree_arrays("t1/", 3)}),
+    "adaboost": ({"d": 2, "n_trees": 2}, {"alphas": np.ones(2), **_tree_arrays("t0/", 3), **_tree_arrays("t1/", 3)}),
+    "gradient_boosting": (
+        {"d": 2, "n_rounds": 1, "n_classes": 3},
+        {"train_loss": np.zeros(2), **{k: v for c in range(3) for k, v in _tree_arrays(f"r0/c{c}/", 1).items()}},
+    ),
+}
+
+
+def _model_file(path, kind, changes):
     """A three-class model file of `kind` with `changes` to its arrays
     and, under the key "extra", to its extra."""
-    extra, arrays = _TREELESS_STATE[kind]
+    extra, arrays = {**_TREELESS_STATE, **_TREE_STATE}[kind]
     extra = changes.get("extra", extra)
     arrays = {"classes": np.arange(3, dtype=np.int64), **arrays}
     arrays.update((k, v) for k, v in changes.items() if k != "extra")
@@ -1050,8 +1075,13 @@ class TestSerialization:
 
     @pytest.mark.parametrize("kind", sorted(_TREELESS_STATE))
     def test_hand_built_treeless_file_loads(self, kind, tmp_path):
-        model = load_model(_treeless_file(tmp_path / "m.modl", kind, {}))
+        model = load_model(_model_file(tmp_path / "m.modl", kind, {}))
         assert model.predict_proba(np.zeros((1, 2))).shape == (1, 3)
+
+    @pytest.mark.parametrize("kind", sorted(_TREE_STATE))
+    def test_hand_built_tree_file_loads(self, kind, tmp_path):
+        model = load_model(_model_file(tmp_path / "m.modl", kind, {}))
+        assert model.predict_proba(np.array([[0.0, 1.0], [1.0, 0.0]])).shape == (2, 3)
 
     @pytest.mark.parametrize(
         "kind, changes, message",
@@ -1065,12 +1095,34 @@ class TestSerialization:
             ("naive_bayes", {"extra": {"d": 5}}, "array 'means' has shape (3, 2), expected (3, 5)"),
             ("naive_bayes", {"priors": np.full(2, 0.5)}, "array 'priors' has shape (2,), expected (3,)"),
             ("naive_bayes", {"vars": np.ones((3, 3))}, "array 'vars' has shape (3, 3), expected (3, 2)"),
+            ("decision_tree", {"feature": np.array([5, -1, -1], dtype=np.int32)},
+             "array 'feature' must hold feature indices below d=2"),
+            ("decision_tree", {"feature": np.zeros(0, dtype=np.int32)},
+             "array 'feature' has shape (0,), expected (n,) with n >= 1"),
+            ("decision_tree", {"threshold": np.zeros(2)}, "array 'threshold' has shape (2,), expected (3,)"),
+            ("decision_tree", {"value": np.zeros((3, 2))}, "array 'value' has shape (3, 2), expected (3, 3)"),
+            ("decision_tree", {"left": np.array([1.0, -1.0, -1.0])}, "array 'left' must hold integers"),
+            ("decision_tree", {"right": np.array([3, -1, -1], dtype=np.int32)},
+             "array 'right' must hold ids after their parent's and below 3"),
+            ("random_forest", {"t1/right": np.array([0, -1, -1], dtype=np.int32)},
+             "array 't1/right' must hold ids after their parent's and below 3"),
+            ("random_forest", {"t0/left": np.array([1, 2, -1], dtype=np.int32)},
+             "array 't0/left' must hold -1 at every leaf"),
+            ("adaboost", {"alphas": np.ones(1)}, "array 'alphas' has shape (1,), expected (2,)"),
+            ("adaboost", {"t1/value": np.zeros((3, 1))}, "array 't1/value' has shape (3, 1), expected (3, 3)"),
+            ("gradient_boosting", {"train_loss": np.zeros(1)}, "array 'train_loss' has shape (1,), expected (2,)"),
+            ("gradient_boosting", {"r0/c2/value": np.zeros((3, 3))},
+             "array 'r0/c2/value' has shape (3, 3), expected (3, 1)"),
+            ("gradient_boosting", {"extra": {"d": 2, "n_rounds": 1, "n_classes": 2}},
+             "extra n_classes=2 disagrees with 3 classes"),
         ],
         ids=["lr_W", "lr_b", "lr_scaler", "knn_code_range", "knn_code_dtype", "knn_codes_rows",
-             "nb_extra_d", "nb_priors", "nb_vars"],
+             "nb_extra_d", "nb_priors", "nb_vars", "dt_feature_past_d", "dt_no_nodes", "dt_threshold_nodes",
+             "dt_value_width", "dt_left_dtype", "dt_child_past_end", "rf_child_before_parent", "rf_leaf_child",
+             "ada_alphas", "ada_value_width", "gb_train_loss", "gb_value_width", "gb_n_classes"],
     )
     def test_disagreeing_arrays_name_the_file(self, kind, changes, message, tmp_path):
-        path = _treeless_file(tmp_path / "m.modl", kind, changes)
+        path = _model_file(tmp_path / "m.modl", kind, changes)
         with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             load_model(path)
 

@@ -306,6 +306,16 @@ class TestPrecomputedPipeline:
         meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
         assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "extract", "CacheFormatError")
 
+    def test_failed_run_meta_says_why(self, tmp_path):
+        cfg, sources = precomputed_config(tmp_path)
+        blob = bytearray(sources[3].read_bytes())
+        blob[-8] ^= 0x01
+        sources[3].write_bytes(bytes(blob))
+        with pytest.raises(StageError):
+            run_pipeline(cfg)
+        meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
+        assert meta["message"] == f"{sources[3]}: payload checksum mismatch"
+
     def test_each_source_read_once(self, tmp_path, monkeypatch):
         from slidebench import design, embeddings
 
@@ -327,14 +337,14 @@ class TestPrecomputedPipeline:
         from slidebench import runner
 
         cfg, sources = precomputed_config(tmp_path)
-        scan_cache = runner.scan_cache
+        missing_caches = runner.missing_caches
 
         def scan_then_delete(directory, manifest):
-            report = scan_cache(directory, manifest)
+            report = missing_caches(directory, manifest)
             sources[5].unlink()
             return report
 
-        monkeypatch.setattr(runner, "scan_cache", scan_then_delete)
+        monkeypatch.setattr(runner, "missing_caches", scan_then_delete)
         with pytest.raises(StageError, match=r"\[extract\] missing embedding cache for slide"):
             run_pipeline(cfg)
         meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
@@ -441,6 +451,17 @@ class TestStageCommands:
         assert capsys.readouterr().err.startswith("[plot]")
         meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
         assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "plot", "KeyError")
+
+    def test_missing_report_fails_plot(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn")
+        run_pipeline(cfg)
+        (Path(cfg.out_dir) / "bk1" / "reports" / "naive_bayes.json").unlink()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert cli.main(["plot", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("[plot]")
+        meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
+        assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "plot", "FileNotFoundError")
 
 
 class TestDeterminism:

@@ -62,3 +62,24 @@ def test_precomputed_run_reads_and_aggregates_each_slide_once(tracing, tmp_path)
         run_pipeline(cfg)
     spans = collections.Counter(s.name for s in tracer.spans)
     assert spans["embeddings.read"] == spans["design.aggregate"] == len(sources)
+
+
+def test_traced_jobs_two_run_collects_worker_spans(tracing, tmp_path, monkeypatch):
+    # Pool workers attach their spans to their results, and the wrapped
+    # `runner.accuracy_table` moves them into the parent's tracer. The
+    # pool pickles the task wrapper by name, so its module is importable.
+    from slidebench.runner import run_pipeline
+    from test_runner import small_config
+
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    cfg = small_config(tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn", jobs=2)
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer).installed():
+        run_pipeline(cfg)
+    tasks = [s for s in tracer.spans if s.name == "runner.fit_task"]
+    assert sorted((s.attrs["backend"], s.attrs["kind"]) for s in tasks) == [
+        (b.name, kind) for b in cfg.backends for kind in sorted(cfg.classifiers)
+    ]
+    workers = {s.id[0] for s in tasks}
+    assert tracer.pid not in workers
+    assert workers <= {s.id[0] for s in tracer.spans if s.name == "learners.fit"}
