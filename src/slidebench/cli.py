@@ -22,13 +22,12 @@ from .manifest import category_counts, effective_split, filter_categories, parse
 from .fileio import write_json
 from .runner import STAGES, StageError, emit_curve_plot, learning_curve, run_pipeline
 
-# Subcommand -> (help, the stages of `run_pipeline` it runs). `train` and
-# `evaluate` are one pass: models are fit, saved and scored on the test split.
+# Subcommand -> (help, the stages of `run_pipeline` it runs). `train` fits,
+# saves and scores the models on the test split in one pass.
 _STAGE_COMMANDS = {
     "extract": ("compute and cache embeddings for every backend", ("ingest", "extract")),
     "aggregate": ("aggregate caches into design matrices", ("ingest", "aggregate")),
-    "train": ("cross-validate and train all configured classifiers", ("ingest", "aggregate", "train")),
-    "evaluate": ("evaluate trained models on the test split", ("ingest", "aggregate", "train")),
+    "train": ("cross-validate, train and evaluate all configured classifiers", ("ingest", "aggregate", "train")),
     "compare": ("run the paired statistical comparison of two backends", ("ingest", "compare")),
     "plot": ("regenerate SVG plots from report files", ("ingest", "plot")),
     "run": ("execute the full pipeline end to end", STAGES),

@@ -127,13 +127,7 @@ def class_directions(seed: int, dim: int) -> np.ndarray:
     for i in range(3):
         for j in range(i):
             basis[i] -= (basis[i] @ basis[j]) * basis[j]
-        norm = np.linalg.norm(basis[i])
-        if norm == 0:  # vanishing probability; regenerate deterministically
-            basis[i] = np.ones(dim)
-            for j in range(i):
-                basis[i] -= (basis[i] @ basis[j]) * basis[j]
-            norm = np.linalg.norm(basis[i])
-        basis[i] /= norm
+        basis[i] /= np.linalg.norm(basis[i])
     basis.flags.writeable = False
     return basis
 

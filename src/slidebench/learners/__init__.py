@@ -9,7 +9,7 @@ from .base import (
     Standardizer,
 )
 from .bayes import NaiveBayes
-from .crossval import CvPlan, CvResult, cross_validate, stratified_folds
+from .crossval import CvResult, cross_validate, stratified_folds
 from .ensembles import AdaBoost, GradientBoosting, RandomForest
 from .factory import DEFAULT_GRIDS, build_classifier, default_grid
 from .io import MODEL_SUFFIX, ModelFormatError, load_model, save_model
@@ -25,7 +25,6 @@ __all__ = [
     "ClassifierSpec",
     "Standardizer",
     "NaiveBayes",
-    "CvPlan",
     "CvResult",
     "cross_validate",
     "stratified_folds",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseClassifier, check_shapes, check_training_inputs
+from .base import BaseClassifier, check_shapes, check_training_inputs, softmax
 
 
 class NaiveBayes(BaseClassifier):
@@ -45,12 +45,10 @@ class NaiveBayes(BaseClassifier):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = self._check_predict_input(X)
-        # Log joint per class, normalized through logsumexp.
+        # Log joint per class, normalized by a row-max-shifted softmax.
         log_joint = np.empty((X.shape[0], len(self.classes_)))
         for c in range(len(self.classes_)):
             diff = X - self.means_[c]
             log_like = -0.5 * (np.log(2.0 * np.pi * self.vars_[c]) + diff * diff / self.vars_[c]).sum(axis=1)
             log_joint[:, c] = np.log(self.priors_[c]) + log_like
-        log_joint -= log_joint.max(axis=1, keepdims=True)
-        p = np.exp(log_joint)
-        return p / p.sum(axis=1, keepdims=True)
+        return softmax(log_joint)

@@ -26,33 +26,25 @@ from .base import ClassifierSpec
 from .factory import build_classifier
 
 
-@dataclass(frozen=True)
-class CvPlan:
-    n_folds: int = 5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_folds < 2:
-            raise ValueError("n_folds must be >= 2")
-
-
-def stratified_folds(y: np.ndarray, plan: CvPlan) -> np.ndarray:
+def stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
     """Fold id per row; per-class counts across folds differ by at most 1."""
+    if n_folds < 2:
+        raise ValueError("n_folds must be >= 2")
     y = np.asarray(y)
     n = y.shape[0]
-    if n < plan.n_folds:
-        raise ValueError(f"cannot make {plan.n_folds} folds from {n} rows")
-    rng = np.random.default_rng(plan.seed)
+    if n < n_folds:
+        raise ValueError(f"cannot make {n_folds} folds from {n} rows")
+    rng = np.random.default_rng(seed)
     folds = np.empty(n, dtype=np.int64)
     for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
-        if idx.size < plan.n_folds:
+        if idx.size < n_folds:
             raise ValueError(
-                f"class {cls!r} has {idx.size} rows; stratified {plan.n_folds}-fold "
+                f"class {cls!r} has {idx.size} rows; stratified {n_folds}-fold "
                 "split would leave folds without it"
             )
         perm = idx[rng.permutation(idx.size)]
-        folds[perm] = np.arange(idx.size) % plan.n_folds
+        folds[perm] = np.arange(idx.size) % n_folds
     return folds
 
 
@@ -102,10 +94,7 @@ def _stage_order(stage) -> float:
 
 
 def cross_validate(
-    grid: list[ClassifierSpec],
-    X: np.ndarray,
-    y: np.ndarray,
-    plan: CvPlan,
+    grid: list[ClassifierSpec], X: np.ndarray, y: np.ndarray, n_folds: int, seed: int
 ) -> CvResult:
     """Score every spec by mean held-out-fold accuracy; ties keep the
     earliest grid position."""
@@ -113,8 +102,8 @@ def cross_validate(
         raise ValueError("empty hyperparameter grid")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    folds = stratified_folds(y, plan)
-    acc = np.zeros((len(grid), plan.n_folds))
+    folds = stratified_folds(y, n_folds, seed)
+    acc = np.zeros((len(grid), n_folds))
 
     # Group stageable specs into families sharing all params but the staged one.
     families: dict[tuple, list[int]] = {}
@@ -125,7 +114,7 @@ def cross_validate(
         else:
             singles.append(i)
 
-    for fold in range(plan.n_folds):
+    for fold in range(n_folds):
         val = folds == fold
         Xt, yt = X[~val], y[~val]
         Xv, yv = X[val], y[val]

@@ -99,23 +99,21 @@ class LogisticRegression(BaseClassifier):
             if grad_inf < tol:
                 break
             sq_norm = float((gW * gW).sum() + (gb * gb).sum())
-            # Backtracking from twice the last accepted step.
+            # Backtracking from twice the last accepted step; once t is at
+            # most 1e-16 the step is taken whether or not it passes.
             t = min(step * 2.0, 64.0)
-            while t > 1e-16:
+            while True:
                 W_t, b_t = W - t * gW, b - t * gb
                 Z, E = _logits(Xs, W_t, b_t)
                 cand = _loss(Z, E, Y, W_t, l2)
-                if cand <= loss - _ARMIJO_C * t * sq_norm:
+                if cand <= loss - _ARMIJO_C * t * sq_norm or t <= 1e-16:
                     break
                 t *= 0.5
-            if t <= 1e-16:
-                # Backtracking ran out: take the step t anyway.
-                W_t, b_t = W - t * gW, b - t * gb
-                Z, E = _logits(Xs, W_t, b_t)
-                cand = _loss(Z, E, Y, W_t, l2)
             W, b, loss = W_t, b_t, cand
             step = t
-        self.n_iter_ = it + 1 if max_iter else 0
+        else:
+            it = max_iter
+        self.n_iter_ = it  # steps taken: a break at index `it` follows `it` steps
         self._set_fitted(W, b, scaler)
         return self
 

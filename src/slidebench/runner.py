@@ -26,7 +26,6 @@ from .learners import (
     KIND_LABELS,
     TABLE_ORDER,
     ClassifierSpec,
-    CvPlan,
     build_classifier,
     cross_validate,
     save_model,
@@ -56,7 +55,7 @@ def ingest_stage(cfg: RunConfig) -> Manifest:
     """Parse, filter to the three classified categories, derive the split."""
     manifest_path = Path(cfg.manifest)
     if not manifest_path.exists():
-        raise StageError("ingest", f"manifest not found: {manifest_path}")
+        raise FileNotFoundError(f"manifest not found: {manifest_path}")
     manifest = parse_manifest(manifest_path, delimiter=cfg.delimiter)
     kept = filter_categories(manifest, CLASSIFIED_CATEGORIES)
     kept, _counts = effective_split(kept)
@@ -81,10 +80,9 @@ def extract_stage(cfg: RunConfig, manifest: Manifest) -> dict[str, DesignMatrix]
         if spec.kind == "precomputed":
             missing = missing_caches(spec.source_dir, manifest)
             if missing:
-                raise StageError(
-                    "extract",
+                raise FileNotFoundError(
                     f"backend {backend.name!r}: {len(missing)} slide(s) missing "
-                    f"from {spec.source_dir}: {', '.join(missing[:10])}",
+                    f"from {spec.source_dir}: {', '.join(missing[:10])}"
                 )
         os.makedirs(directory, exist_ok=True)
         remove_temp_files(directory)
@@ -159,24 +157,28 @@ def _fit_arrays(dm: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
 def _fit_one(args: tuple) -> FitResult:
     """Cross-validate, refit and evaluate one (backend, classifier) pair,
     and write its cv, model, report and predictions documents under
-    `backend_dir`."""
+    `backend_dir`. An exception it raises names the task, `backend/kind`,
+    in its `fit_task` attribute, which crosses a process pool with it."""
     backend_name, kind, grid, cv_folds, cv_seed, backend_dir = args
-    rows_tr, y_tr, rows_te, y_te, ids_te = _stage_data[backend_name]
-    plan = CvPlan(n_folds=cv_folds, seed=cv_seed)
-    cv = cross_validate(grid, rows_tr, y_tr, plan)
-    best_cv_accuracy = float(cv.mean_accuracy[cv.best_index])
-    model = build_classifier(cv.best_spec).fit(rows_tr, y_tr)
-    proba = model.predict_proba(rows_te)
-    report = classification_report(y_te, proba, classifier=cv.best_spec.spec_id(), backend=backend_name)
-    base = Path(backend_dir)
-    best = {"params": cv.best_spec.params, "seed": cv.best_spec.seed, "mean_accuracy": best_cv_accuracy}
-    write_json(base / "cv" / f"{kind}.json", {"kind": kind, "grid": cv.summary(), "best": best})
-    save_model(model, base / "models" / f"{kind}.modl")
-    write_json(base / "reports" / f"{kind}.json", report)
-    write_json(base / "predictions" / f"{kind}.json", {
-        "backend": backend_name, "kind": kind, "slide_ids": ids_te, "y_true": y_te, "proba": proba,
-    })
-    return FitResult(backend=backend_name, kind=kind, best_cv_accuracy=best_cv_accuracy, report=report)
+    try:
+        rows_tr, y_tr, rows_te, y_te, ids_te = _stage_data[backend_name]
+        cv = cross_validate(grid, rows_tr, y_tr, cv_folds, cv_seed)
+        best_cv_accuracy = float(cv.mean_accuracy[cv.best_index])
+        model = build_classifier(cv.best_spec).fit(rows_tr, y_tr)
+        proba = model.predict_proba(rows_te)
+        report = classification_report(y_te, proba, classifier=cv.best_spec.spec_id(), backend=backend_name)
+        base = Path(backend_dir)
+        best = {"params": cv.best_spec.params, "seed": cv.best_spec.seed, "mean_accuracy": best_cv_accuracy}
+        write_json(base / "cv" / f"{kind}.json", {"kind": kind, "grid": cv.summary(), "best": best})
+        save_model(model, base / "models" / f"{kind}.modl")
+        write_json(base / "reports" / f"{kind}.json", report)
+        write_json(base / "predictions" / f"{kind}.json", {
+            "backend": backend_name, "kind": kind, "slide_ids": ids_te, "y_true": y_te, "proba": proba,
+        })
+        return FitResult(backend=backend_name, kind=kind, best_cv_accuracy=best_cv_accuracy, report=report)
+    except Exception as exc:
+        exc.fit_task = f"{backend_name}/{kind}"
+        raise
 
 
 def train_evaluate_stage(
@@ -504,19 +506,8 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     write_json(meta_path, meta("running"))
     tracker = Tracker(run_id, out / cfg.tracker_jsonl, webhook=webhook)
     stage = "ingest"
-
-    def run(name: str, fn, *args):
-        nonlocal stage
-        stage = name
-        try:
-            return fn(*args)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, str(exc)) from exc
-
     try:
-        manifest = run("ingest", ingest_stage, cfg)
+        manifest = ingest_stage(cfg)
         counts = category_counts(manifest)
         tracker.track("ingest", "slides_total", len(manifest))
         for cat in CLASSIFIED_CATEGORIES:
@@ -524,32 +515,39 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
 
         designs = None
         if "extract" in stages:
-            designs = run("extract", extract_stage, cfg, manifest)
+            stage = "extract"
+            designs = extract_stage(cfg, manifest)
             tracker.track("extract", "backends_cached", len(cfg.backends))
 
         if "aggregate" in stages:
-            designs = run("aggregate", aggregate_stage, cfg, manifest, designs)
+            stage = "aggregate"
+            designs = aggregate_stage(cfg, manifest, designs)
             for backend in cfg.backends:
                 tracker.track("aggregate", f"{backend.name}/design_rows", designs[backend.name].n)
 
         if "train" in stages:
-            run("train", train_evaluate_stage, cfg, designs, tracker)
+            stage = "train"
+            train_evaluate_stage(cfg, designs, tracker)
 
         if "compare" in stages:
-            comparison = run("compare", compare_stage, cfg)
+            stage = "compare"
+            comparison = compare_stage(cfg)
             if comparison is not None and comparison["paired_ttest"] is not None:
                 tracker.track("compare", "paired_ttest_p", comparison["paired_ttest"]["p"])
 
         if "plot" in stages:
-            run("plot", plot_stage, cfg)
+            stage = "plot"
+            plot_stage(cfg)
     except BaseException as exc:
-        # Any exception marks the run failed, KeyboardInterrupt included. For
-        # a StageError, record the error that caused it and its untagged
-        # message, which is the cause's own.
-        error, message = exc, str(exc)
-        if isinstance(exc, StageError):
-            stage, error, message = exc.stage, exc.__cause__ or exc, exc.args[0]
-        write_json(meta_path, meta("failed", stage=stage, error=type(error).__name__, message=message))
+        # Any exception marks the run failed, KeyboardInterrupt included,
+        # which passes through untagged. A fit task's failure also names
+        # the task.
+        message = str(exc)
+        if hasattr(exc, "fit_task"):
+            message = f"{exc.fit_task}: {message}"
+        write_json(meta_path, meta("failed", stage=stage, error=type(exc).__name__, message=message))
+        if isinstance(exc, Exception):
+            raise StageError(stage, message) from exc
         raise
 
     write_json(meta_path, meta("complete"))

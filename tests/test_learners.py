@@ -291,6 +291,12 @@ class TestLogisticRegression:
         model.b_ = np.zeros_like(model.b_)
         np.testing.assert_allclose(model.predict_proba(X[:5]), 1.0 / 3.0, atol=1e-12)
 
+    def test_converged_at_start_counts_no_steps(self):
+        X, y = make_blobs([10, 10, 10], d=4, sep=2.0, seed=2)
+        model = build_classifier(ClassifierSpec("logistic_regression", params={"tol": 1e6})).fit(X, y)
+        assert model.n_iter_ == 0
+        assert not model.W_.any() and not model.b_.any()
+
     def test_l2_shrinks_weights(self):
         X, y = make_blobs([20, 20, 20], d=6, sep=3.0, seed=5)
         w0 = build_classifier(ClassifierSpec("logistic_regression", params={"l2": 0.0})).fit(X, y)
@@ -311,13 +317,15 @@ def _lr_data(n_classes: int):
 # with `axis=1` numpy calls (numpy 2.4, x86-64). Nine classes take numpy's
 # pairwise row sums. The objective's bytes guard the loss, whose rounding
 # reaches the iterates only through the line search's accept test.
+# `n_iter_` is the number of descent steps taken: a fit whose gradient test
+# passes at loop index i took i steps.
 GOLDEN_LR = {
     (2, 0.0): "db7e92cbd4d0c7b5dd7f8c6640a5eecfe56e62030558677b192b368de6c60199",
-    (2, 0.01): "4e3de3cd24347142dd139299fef6ed36f89b3bcb1215417318bbbc4e95343bee",
+    (2, 0.01): "e29c8029fea322bc91caa82ae36b5defe36b7d0f9fae1f22eb94caf167de4fb4",
     (3, 0.0): "9c1d2503f7638c3722d09f321dc8799a5ebc3a258c7d49c915bb33df71e92817",
-    (3, 0.01): "9f160dc91e70a5506d509ca71b1d27d023f68eb077d1931839fcf194dec80dc9",
+    (3, 0.01): "b706c5fdf538bc39ed2d39d45234ee3a9e83338d0a7b57c7c61929951a710e73",
     (9, 0.0): "a23ddab4f22a464288f78cd8e2424e1ba735b694c635f6a10efa179ec941147a",
-    (9, 0.01): "176f43771cf271e0059c0c70a433bb7588e431adf515f7b0b83a6fde517e7be9",
+    (9, 0.01): "d8bc5a233bde9688d8b319288771c632f6baf458f4a897f96bbd1a97225cf035",
 }
 
 

@@ -152,7 +152,7 @@ class TestRunPipeline:
         meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
         assert meta["status"] == "failed"
         assert meta["stage"] == "ingest"
-        assert meta["error"] == "StageError"
+        assert meta["error"] == "FileNotFoundError"
         assert not (Path(cfg.out_dir) / "accuracy_table.json").exists()
 
     @pytest.mark.parametrize("stages", [("ingest", "evaluate"), ("ingest", "train")])
@@ -209,12 +209,36 @@ class TestRunPipeline:
 
         monkeypatch.setattr(NaiveBayes, "predict_proba", lambda self, X: np.full((len(X), 3), np.nan))
         cfg = small_config(tmp_path, classifiers=["knn", "naive_bayes"], selected_classifier="knn")
-        with pytest.raises(StageError, match=r"^\[train\] 27 of 27 probability rows are not finite$"):
+        with pytest.raises(StageError, match=r"^\[train\] bk0/naive_bayes: 27 of 27 probability rows are not finite$"):
             run_pipeline(cfg)
         out = Path(cfg.out_dir)
         meta = json.loads((out / "run_meta.json").read_text())
         assert (meta["status"], meta["stage"], meta["error"]) == ("failed", "train", "ValueError")
         assert not list(out.glob("*/*/naive_bayes.json"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_fit_task_names_itself(self, tmp_path, monkeypatch, capsys, jobs):
+        # With jobs=2 the error is raised in a forked worker and pickled back.
+        from slidebench.learners import KNearestNeighbor
+
+        fit = KNearestNeighbor.fit
+
+        def blow_up_at_d20(model, X, y):
+            if X.shape[1] == 20:
+                raise FloatingPointError("solver blew up")
+            return fit(model, X, y)
+
+        monkeypatch.setattr(KNearestNeighbor, "fit", blow_up_at_d20)
+        cfg = small_config(tmp_path, dims=(16, 20), classifiers=["knn", "naive_bayes"],
+                           selected_classifier="knn", jobs=jobs)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "[train] bk1/knn: solver blew up\n"
+        meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
+        assert (meta["status"], meta["stage"], meta["error"], meta["message"]) == (
+            "failed", "train", "FloatingPointError", "bk1/knn: solver blew up"
+        )
 
     def test_interrupt_marks_run_failed(self, tmp_path, monkeypatch):
         from slidebench import runner
