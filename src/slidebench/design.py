@@ -86,28 +86,19 @@ def mean_aggregate(emb: EmbeddingMatrix) -> np.ndarray:
 
 
 def aggregate_design(manifest: Manifest, embed: Callable[[SlideMeta], EmbeddingMatrix]) -> DesignMatrix:
-    """One aggregated row per manifest slide, in manifest order.
+    """One aggregated row per manifest slide, in manifest order, with the
+    slide's category, effective subset (derived from its raw subset) and id.
 
     `embed(meta)` supplies each slide's embedding matrix, all at the
     backend's d (both callers check it); it is called once per slide, in
     manifest order, and the matrix is dropped once its row is taken.
     """
-    rows = None
-    labels = np.empty(len(manifest), dtype=np.uint8)
-    subsets = np.empty(len(manifest), dtype=np.uint8)
-    slide_ids: list[str] = []
-    for i, meta in enumerate(manifest):
-        if meta.effective is None:
-            raise DesignError(f"slide {meta.file!r} has no effective subset; run effective_split first")
-        vec = mean_aggregate(embed(meta))
-        if rows is None:
-            rows = np.empty((len(manifest), vec.shape[0]), dtype=np.float32)
-        rows[i] = vec
-        labels[i] = meta.category.value
-        subsets[i] = meta.effective.value
-        slide_ids.append(meta.file)
-    assert rows is not None
-    return DesignMatrix(rows, labels, subsets, slide_ids)
+    return DesignMatrix(
+        np.stack([mean_aggregate(embed(meta)) for meta in manifest]),
+        np.array([meta.category.value for meta in manifest], dtype=np.uint8),
+        np.array([meta.effective.value for meta in manifest], dtype=np.uint8),
+        [meta.file for meta in manifest],
+    )
 
 
 def build_design(manifest: Manifest, cache_dir: str | Path, backend_name: str, dim: int) -> DesignMatrix:

@@ -106,7 +106,6 @@ def paper_manifest(
                 category=category,
                 subset=subset,
                 staining="H&E",
-                row=row,
             )
         )
     return records

@@ -54,7 +54,6 @@ class CvResult:
     best_index: int
     mean_accuracy: np.ndarray       # per grid spec
     fold_accuracy: np.ndarray       # (n_specs, n_folds)
-    folds: np.ndarray               # fold id per training row
     spec_ids: list[str]
 
     def summary(self) -> list[dict]:
@@ -136,6 +135,5 @@ def cross_validate(
         best_index=best,
         mean_accuracy=mean_acc,
         fold_accuracy=acc,
-        folds=folds,
         spec_ids=[s.spec_id() for s in grid],
     )

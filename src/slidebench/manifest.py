@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .categories import (
-    Category,
-    EffectiveSubset,
-    Subset,
-    effective_subset,
-)
+from .categories import Category, EffectiveSubset, Subset, effective_subset
 from .fileio import write_atomic
 
 
@@ -26,7 +21,8 @@ class ManifestError(ValueError):
     """Raised for malformed or inconsistent manifest input."""
 
 
-# Canonical column order used when serializing.
+# Canonical column order used when serializing; lowercased, the names are
+# SlideMeta's fields.
 COLUMNS = (
     "fullpath",
     "file",
@@ -40,12 +36,13 @@ COLUMNS = (
     "Staining",
 )
 
-_CANONICAL = {name.lower(): name for name in COLUMNS}
+_FIELDS = tuple(name.lower() for name in COLUMNS)
 
 
 @dataclass(frozen=True)
 class SlideMeta:
-    """One manifest record; `file` is the join key to embedding caches."""
+    """One manifest record; `file` is the join key to embedding caches.
+    The effective subset is derived from `subset`, never stored."""
 
     fullpath: str
     file: str
@@ -57,8 +54,10 @@ class SlideMeta:
     category: Category
     subset: Subset
     staining: str
-    row: int = 0  # 1-based data row number, for diagnostics
-    effective: EffectiveSubset | None = None
+
+    @property
+    def effective(self) -> EffectiveSubset:
+        return effective_subset(self.subset)
 
 
 Manifest = list[SlideMeta]
@@ -90,7 +89,7 @@ def parse_manifest(source: str | Path | TextIO, delimiter: str = ",") -> Manifes
     col_index: dict[str, int] = {}
     for i, name in enumerate(header):
         key = name.strip().lower()
-        if key in _CANONICAL:
+        if key in _FIELDS:
             if key in col_index:
                 raise ManifestError(f"duplicate column {name!r} in header")
             col_index[key] = i
@@ -105,11 +104,9 @@ def parse_manifest(source: str | Path | TextIO, delimiter: str = ",") -> Manifes
             continue
         if len(row) < len(header):
             raise ManifestError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+        fields = {key: row[i].strip() for key, i in col_index.items()}
 
-        def cell(name: str) -> str:
-            return row[col_index[name]].strip()
-
-        file_name = cell("file")
+        file_name = fields["file"]
         if not file_name:
             raise ManifestError(f"row {row_no}: empty file name")
         if not is_path_component(file_name):
@@ -121,37 +118,20 @@ def parse_manifest(source: str | Path | TextIO, delimiter: str = ",") -> Manifes
             )
         seen_files[file_name] = row_no
 
-        score_text = cell("diag_score")
+        score_text = fields["diag_score"]
         try:
-            diag_score = int(score_text)
+            fields["diag_score"] = int(score_text)
         except ValueError:
-            raise ManifestError(
-                f"row {row_no}: unparseable DIAG_SCORE {score_text!r}"
-            ) from None
-        if not 0 <= diag_score <= 100:
-            raise ManifestError(f"row {row_no}: DIAG_SCORE {diag_score} outside 0-100")
+            raise ManifestError(f"row {row_no}: unparseable DIAG_SCORE {score_text!r}") from None
+        if not 0 <= fields["diag_score"] <= 100:
+            raise ManifestError(f"row {row_no}: DIAG_SCORE {fields['diag_score']} outside 0-100")
 
         try:
-            category = Category.from_text(cell("category"))
-            subset = Subset.from_text(cell("subset"))
+            fields["category"] = Category.from_text(fields["category"])
+            fields["subset"] = Subset.from_text(fields["subset"])
         except ValueError as exc:
             raise ManifestError(f"row {row_no}: {exc}") from None
-
-        records.append(
-            SlideMeta(
-                fullpath=cell("fullpath"),
-                file=file_name,
-                case_id=cell("case_id"),
-                sub_block=cell("sub_block"),
-                block=cell("block"),
-                diag_score=diag_score,
-                diag_type=cell("diag_type"),
-                category=category,
-                subset=subset,
-                staining=cell("staining"),
-                row=row_no,
-            )
-        )
+        records.append(SlideMeta(**fields))
 
     if not records:
         raise ManifestError("empty manifest: header only")
@@ -164,20 +144,8 @@ def serialize_manifest(manifest: Manifest, delimiter: str = ",") -> str:
     writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
     writer.writerow(COLUMNS)
     for m in manifest:
-        writer.writerow(
-            [
-                m.fullpath,
-                m.file,
-                m.case_id,
-                m.sub_block,
-                m.block,
-                str(m.diag_score),
-                m.diag_type,
-                m.category.to_text(),
-                m.subset.to_text(),
-                m.staining,
-            ]
-        )
+        values = (getattr(m, name.lower()) for name in COLUMNS)
+        writer.writerow(v.to_text() if isinstance(v, (Category, Subset)) else v for v in values)
     return buf.getvalue()
 
 
@@ -204,15 +172,19 @@ def category_counts(manifest: Manifest) -> dict[Category, int]:
 
 
 def effective_split(manifest: Manifest) -> tuple[Manifest, dict[EffectiveSubset, int]]:
-    """Attach the effective two-way subset to every record.
-
-    Validation records are relabeled Test; Train and Test pass through.
-    Returns the relabeled manifest and the per-partition counts.
-    """
-    out: Manifest = []
+    """Count the records in each effective subset, which every record
+    derives from its raw subset (Validation counts as Test). Returns the
+    manifest unchanged and the per-partition counts."""
     counts = {EffectiveSubset.TRAIN: 0, EffectiveSubset.TEST: 0}
     for m in manifest:
-        eff = effective_subset(m.subset)
-        counts[eff] += 1
-        out.append(replace(m, effective=eff))
-    return out, counts
+        counts[m.effective] += 1
+    return manifest, counts
+
+
+def cases_in_train_and_test(manifest: Manifest) -> int:
+    """How many case ids have slides in both effective subsets: through
+    them a slide-level split lets one case inform both train and test."""
+    subsets: dict[str, set[EffectiveSubset]] = {}
+    for m in manifest:
+        subsets.setdefault(m.case_id, set()).add(m.effective)
+    return sum(len(s) == 2 for s in subsets.values())

@@ -31,7 +31,7 @@ from .learners import (
     save_model,
     shared_bins,
 )
-from .manifest import Manifest, category_counts, effective_split, filter_categories, parse_manifest
+from .manifest import Manifest, cases_in_train_and_test, category_counts, filter_categories, parse_manifest
 from .metrics import EvaluationReport, classification_report
 from .rocstats import PairedScores, delong_test, paired_ttest, venkatraman_test
 from .svgplot import line_plot, write_svg
@@ -52,14 +52,12 @@ class StageError(RuntimeError):
 # -- stages -------------------------------------------------------------------
 
 def ingest_stage(cfg: RunConfig) -> Manifest:
-    """Parse, filter to the three classified categories, derive the split."""
+    """Parse and filter to the three classified categories."""
     manifest_path = Path(cfg.manifest)
     if not manifest_path.exists():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     manifest = parse_manifest(manifest_path, delimiter=cfg.delimiter)
-    kept = filter_categories(manifest, CLASSIFIED_CATEGORIES)
-    kept, _counts = effective_split(kept)
-    return kept
+    return filter_categories(manifest, CLASSIFIED_CATEGORIES)
 
 
 def extract_stage(cfg: RunConfig, manifest: Manifest) -> dict[str, DesignMatrix]:
@@ -157,8 +155,8 @@ def _fit_arrays(dm: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
 def _fit_one(args: tuple) -> FitResult:
     """Cross-validate, refit and evaluate one (backend, classifier) pair,
     and write its cv, model, report and predictions documents under
-    `backend_dir`. An exception it raises names the task, `backend/kind`,
-    in its `fit_task` attribute, which crosses a process pool with it."""
+    `backend_dir`. An exception it raises names the task in its `fit_task`
+    attribute, `{"backend", "kind"}`, which crosses a process pool with it."""
     backend_name, kind, grid, cv_folds, cv_seed, backend_dir = args
     try:
         rows_tr, y_tr, rows_te, y_te, ids_te = _stage_data[backend_name]
@@ -177,7 +175,7 @@ def _fit_one(args: tuple) -> FitResult:
         })
         return FitResult(backend=backend_name, kind=kind, best_cv_accuracy=best_cv_accuracy, report=report)
     except Exception as exc:
-        exc.fit_task = f"{backend_name}/{kind}"
+        exc.fit_task = {"backend": backend_name, "kind": kind}
         raise
 
 
@@ -494,9 +492,10 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     run_id = cfg.run_id()
     meta_path = out / "run_meta.json"
     webhook = WebhookSink(cfg.webhook_url) if cfg.webhook_url else None
+    found: dict = {}  # what the run has learned so far, kept in each later run_meta.json
 
     def meta(status: str, **fields) -> dict:
-        doc = {"run_id": run_id, "status": status, **fields, "config": cfg}
+        doc = {"run_id": run_id, "status": status, **found, **fields, "config": cfg}
         if selected != list(STAGES):
             doc["stages"] = selected
         if webhook is not None and webhook.disabled:
@@ -508,6 +507,7 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     stage = "ingest"
     try:
         manifest = ingest_stage(cfg)
+        found["cases_in_train_and_test"] = cases_in_train_and_test(manifest)
         counts = category_counts(manifest)
         tracker.track("ingest", "slides_total", len(manifest))
         for cat in CLASSIFIED_CATEGORIES:
@@ -544,7 +544,8 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
         # the task.
         message = str(exc)
         if hasattr(exc, "fit_task"):
-            message = f"{exc.fit_task}: {message}"
+            found["task"] = exc.fit_task
+            message = f"{exc.fit_task['backend']}/{exc.fit_task['kind']}: {message}"
         write_json(meta_path, meta("failed", stage=stage, error=type(exc).__name__, message=message))
         if isinstance(exc, Exception):
             raise StageError(stage, message) from exc

@@ -157,11 +157,23 @@ class TestCrossValidate:
         cross_validate(default_grid("knn"), X, y, 5, 7)
         assert ks == [21] * 5
 
-    def test_fold_assignment_shared_across_specs(self):
+    def test_fold_assignment_shared_across_specs(self, monkeypatch):
+        # The last feature is the row index, so each fit shows the rows it got.
+        from slidebench.learners.bayes import NaiveBayes
+
         X, y = make_blobs([15, 15, 15], d=4, sep=2.0, seed=9)
-        grid = default_grid("knn", seed=0)
-        result = cross_validate(grid, X, y, 5, 11)
-        np.testing.assert_array_equal(result.folds, stratified_folds(y, 5, 11))
+        X = np.column_stack([X, np.arange(len(y))])
+        fitted, fit = [], NaiveBayes.fit
+
+        def recording_fit(model, Xt, yt):
+            fitted.append(Xt[:, -1].astype(int).tolist())
+            return fit(model, Xt, yt)
+
+        monkeypatch.setattr(NaiveBayes, "fit", recording_fit)
+        grid = default_grid("naive_bayes", overrides={"var_floor_ratio": [1e-9, 1e-3]})
+        cross_validate(grid, X, y, 5, 11)
+        folds = stratified_folds(y, 5, 11)
+        assert fitted == [np.flatnonzero(folds != f).tolist() for f in range(5) for _ in grid]
 
     def test_default_grids_shapes(self):
         assert len(default_grid("logistic_regression")) == 4

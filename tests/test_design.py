@@ -26,7 +26,7 @@ def meta(file, category=Category.SQUAMOUS, effective=EffectiveSubset.TRAIN):
         fullpath="", file=file, case_id="c", sub_block="b", block="B",
         diag_score=100, diag_type="", category=category,
         subset=Subset.TRAIN if effective is EffectiveSubset.TRAIN else Subset.TEST,
-        staining="H&E", effective=effective,
+        staining="H&E",
     )
 
 

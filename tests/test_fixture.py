@@ -1,8 +1,10 @@
 """Paper-shaped synthetic manifest generation."""
 
+import hashlib
+
 from slidebench.categories import Category, Subset
 from slidebench.fixture import paper_manifest, subset_allocation
-from slidebench.manifest import category_counts
+from slidebench.manifest import category_counts, serialize_manifest
 
 
 class TestPaperManifest:
@@ -14,6 +16,12 @@ class TestPaperManifest:
         assert counts[Category.MELANOCYTIC] == 263
         assert counts[Category.SQUAMOUS] == 325
         assert counts[Category.OTHER] == 246
+
+    def test_seed_zero_bytes_pinned(self):
+        text = serialize_manifest(paper_manifest(seed=0))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "0a93cc5d0469e71669abc648bfa65c6bc875b0c164dca58f80877f763a7c8e15"
+        )
 
     def test_classified_subset_totals(self):
         m = paper_manifest(seed=0)

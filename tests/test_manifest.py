@@ -1,5 +1,6 @@
 """Manifest parsing, filtering, and split derivation."""
 
+import dataclasses
 import io
 import os
 
@@ -7,7 +8,9 @@ import pytest
 
 from slidebench.categories import Category, EffectiveSubset, Subset
 from slidebench.manifest import (
+    COLUMNS,
     ManifestError,
+    SlideMeta,
     category_counts,
     effective_split,
     filter_categories,
@@ -33,7 +36,14 @@ class TestParse:
         assert rec.subset is Subset.TRAIN
         assert rec.staining == "H&E"
         assert rec.diag_score == 100
-        assert rec.row == 1
+
+    def test_validation_row_has_derived_effective_subset(self):
+        rec = parse_text(manifest_csv([simple_row("s1", subset="Validation")]))[0]
+        assert rec.subset is Subset.VALIDATION
+        assert rec.effective is EffectiveSubset.TEST
+
+    def test_columns_are_the_record_fields(self):
+        assert [c.lower() for c in COLUMNS] == [f.name for f in dataclasses.fields(SlideMeta)]
 
     def test_header_only_is_error(self):
         with pytest.raises(ManifestError, match="empty manifest"):
@@ -114,6 +124,8 @@ class TestRoundTrip:
         m2 = parse_text(text1)
         text2 = serialize_manifest(m2)
         assert text1 == text2
+        with open(paper_manifest_csv, "rb") as fh:
+            assert text1.encode("utf-8") == fh.read()
         assert [(r.file, r.category, r.subset) for r in m1] == [
             (r.file, r.category, r.subset) for r in m2
         ]

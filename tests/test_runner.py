@@ -153,6 +153,7 @@ class TestRunPipeline:
         assert meta["status"] == "failed"
         assert meta["stage"] == "ingest"
         assert meta["error"] == "FileNotFoundError"
+        assert "cases_in_train_and_test" not in meta
         assert not (Path(cfg.out_dir) / "accuracy_table.json").exists()
 
     @pytest.mark.parametrize("stages", [("ingest", "evaluate"), ("ingest", "train")])
@@ -165,7 +166,19 @@ class TestRunPipeline:
     def test_completed_meta_records_status_and_config_only(self, completed_run):
         cfg, out = completed_run
         meta = json.loads((out / "run_meta.json").read_text())
-        assert meta == {"run_id": cfg.run_id(), "status": "complete", "config": cfg.to_dict()}
+        assert meta == {
+            "run_id": cfg.run_id(), "status": "complete", "config": cfg.to_dict(),
+            "cases_in_train_and_test": 15,
+        }
+
+    def test_ingest_records_cases_in_train_and_test(self, tmp_path, paper_manifest_csv):
+        # In the paper fixture two slides share a case, and 118 of its 452
+        # classified cases have slides on both sides of the split.
+        cfg = small_config(tmp_path, manifest=paper_manifest_csv)
+        run_pipeline(cfg, ("ingest",))
+        meta = json.loads((Path(cfg.out_dir) / "run_meta.json").read_text())
+        assert (meta["status"], meta["cases_in_train_and_test"]) == ("complete", 118)
+        assert sorted(p.name for p in Path(cfg.out_dir).iterdir()) == ["events.jsonl", "run_meta.json"]
 
     def test_silent_webhook_disabled_and_recorded(self, tmp_path, monkeypatch, silent_server):
         from slidebench import runner
@@ -182,7 +195,7 @@ class TestRunPipeline:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta == {
             "run_id": cfg.run_id(), "status": "complete", "config": cfg.to_dict(),
-            "webhook_disabled": True,
+            "webhook_disabled": True, "cases_in_train_and_test": 15,
         }
 
     def test_every_document_is_strict_json(self, tmp_path):
@@ -239,6 +252,7 @@ class TestRunPipeline:
         assert (meta["status"], meta["stage"], meta["error"], meta["message"]) == (
             "failed", "train", "FloatingPointError", "bk1/knn: solver blew up"
         )
+        assert meta["task"] == {"backend": "bk1", "kind": "knn"}
 
     def test_interrupt_marks_run_failed(self, tmp_path, monkeypatch):
         from slidebench import runner
